@@ -1,56 +1,43 @@
-//! Engine throughput benchmark: the redesigned fabric (sharded
-//! event-driven scheduler + zero-copy [`Page`] payloads) against the
-//! seed fabric it replaced (one OS thread per node with channel
-//! rendezvous, and the old message contract that cloned every buffer
-//! into its envelope — `proto.rs`'s `bytes: Vec<u8>`, `home.rs`'s
-//! per-fetch `.clone()`).
+//! Engine throughput benchmark: the sharded event-driven delivery
+//! engine with zero-copy [`Page`] payloads, at several worker counts.
 //!
 //! Four runs, all on the same workload and the same virtual cost model:
 //!
-//! 1. **baseline** — `EngineMode::ThreadPerNode`, with each bulk token
-//!    deep-copied per hop ([`PayloadSemantics::SeedClone`]): the seed
-//!    fabric's delivery shape and copy contract. This is the
-//!    *measured* baseline the ≥10× claim is made against.
-//! 2. **legacy** — `ThreadPerNode` with zero-copy payloads: isolates
-//!    the engine swap from the copy-contract change. Reported as
-//!    `engine_only_speedup`.
-//! 3. **sharded** — the redesigned engine, zero-copy (measured).
+//! 1. **serial** — `Sharded { workers: 1 }`: one worker serialises the
+//!    whole fabric.
+//! 2. **per-node** — `Sharded { workers: nodes }`: every node is pinned
+//!    to a worker of its own, the most concurrent shape.
+//! 3. **sharded** — the default, auto-sized worker pool (measured).
 //! 4. **sharded again** — determinism check.
 //!
 //! All four must agree *bit-identically* on checksums, virtual end
-//! times, and fabric counters: engines and copy semantics are
-//! observationally equivalent in virtual time, and only wall-clock
-//! throughput differs. Two sharded runs must reproduce each other
-//! exactly.
+//! times, and fabric counters: worker counts are observationally
+//! equivalent in virtual time, and only wall-clock throughput differs.
 //!
 //! Workload phases (64 nodes by default):
 //!
 //! * **Notification relay** — a handful of zero-byte tokens hot-potato
 //!   around the ring. Pure scheduling: each hop lands on an *idle*
 //!   node (token count ≪ node count, the common case for protocol
-//!   control traffic), so the legacy engine pays a sleeping daemon's
-//!   condvar wake and context switch per event while a sharded worker
-//!   stays hot.
+//!   control traffic), so a hot worker's wake elision is what keeps
+//!   the per-event cost low.
 //! * **Bulk page relay** — tokens carrying a fetch-reply-shaped page
 //!   set (`Vec<(id, Page)>`, [`PAGES_PER_TOKEN`] × 4 KiB — the shape
 //!   of `swdsm`'s multi-page `FetchReply`/region writeback). Each hop
 //!   stamps one page (copy-on-write, in place for a uniquely held
-//!   page). Under seed semantics every hop clones the whole set, as
-//!   the old `Vec<u8>` message contract forced; the redesigned path
-//!   moves the `Arc`s untouched.
+//!   page); the `Arc`s move untouched.
 //! * **Post flood** — every node fires a burst of one-way posts at its
-//!   ring successor (bounded ingress queues; on the sharded engine,
-//!   backpressure), closed by one synchronous flush request per sender
-//!   so every flood message is provably processed before counters are
-//!   read.
+//!   ring successor (bounded ingress queues, backpressure), closed by
+//!   one synchronous flush request per sender so every flood message
+//!   is provably processed before counters are read.
 //!
 //! Two reports are written:
 //!
 //! * `BENCH_engine.json` — virtual-time results only; byte-identical
 //!   across runs (CI diffs two runs).
-//! * `BENCH_engine_wall.json` — wall-clock throughput (events/sec,
-//!   speedups); machine-dependent by nature, gated in CI against a
-//!   conservative committed floor.
+//! * `BENCH_engine_wall.json` — wall-clock throughput (events/sec);
+//!   machine-dependent by nature, gated in CI against a conservative
+//!   committed floor.
 
 use bench::report::{write_report, Json};
 use bench::Args;
@@ -77,18 +64,6 @@ const BULK: u32 = 0x65;
 /// region writeback (`swdsm::proto::FetchReply.pages`).
 const PAGES_PER_TOKEN: usize = 32;
 
-/// How the workload treats payload buffers — the message-contract half
-/// of the redesign (the engine half is [`EngineMode`]).
-#[derive(Clone, Copy, PartialEq)]
-enum PayloadSemantics {
-    /// Redesigned contract: pages travel as `Arc` references, stamped
-    /// in place via copy-on-write.
-    ZeroCopy,
-    /// Seed contract: every buffer is cloned into the envelope on each
-    /// post (what `Vec<u8>` message bodies forced before the redesign).
-    SeedClone,
-}
-
 /// A bulk token: relay bookkeeping plus a fetch-reply-shaped page set.
 struct Bulk {
     origin: u32,
@@ -106,7 +81,7 @@ struct RunOut {
     checksum: u64,
     /// Fabric counters (includes `delivered`, the engine event count).
     stats: BTreeMap<&'static str, u64>,
-    /// Blocking waits on full ingress queues (sharded engine only).
+    /// Blocking waits on full ingress queues.
     bp_waits: u64,
     /// Wall-clock for build + all phases + teardown.
     wall_ns: u64,
@@ -126,8 +101,7 @@ fn token_count(nodes: usize) -> usize {
 /// Engine-microbench cost model: zero software overheads and a small
 /// fixed wire latency. Virtual time still advances per hop (so ordering
 /// and determinism are exercised for real), but the wall clock measures
-/// delivery-engine and copy-contract machinery, which is what this
-/// benchmark compares.
+/// delivery-engine machinery, which is what this benchmark compares.
 fn micro_cost() -> LinkCost {
     LinkCost {
         send_overhead_ns: 0,
@@ -139,20 +113,12 @@ fn micro_cost() -> LinkCost {
 }
 
 /// Wire size of a bulk token: id + page bytes per page, plus the relay
-/// header. Identical under both payload semantics, which is what keeps
-/// the four runs' virtual times bit-identical.
+/// header.
 fn bulk_wire_bytes(pages: usize) -> u64 {
     (pages as u64) * (4096 + 8) + 16
 }
 
-fn run(
-    mode: EngineMode,
-    semantics: PayloadSemantics,
-    nodes: usize,
-    notif_hops: u32,
-    bulk_hops: u32,
-    flood: u32,
-) -> RunOut {
+fn run(mode: EngineMode, nodes: usize, notif_hops: u32, bulk_hops: u32, flood: u32) -> RunOut {
     let started = Instant::now();
     let net = Network::builder(nodes, micro_cost()).engine(mode).build();
 
@@ -172,19 +138,11 @@ fn run(
         move |ctx: &HandlerCtx<'_>, _src, p: Payload| {
             let mut t = downcast::<Bulk>(p);
             t.acc = fold(t.acc, node as u64);
-            // Stamp one page per hop. `make_mut` is in place for the
-            // zero-copy path (the token is uniquely held) and proves
-            // every hop's mutation survives whichever contract carried
-            // the pages.
+            // Stamp one page per hop. `make_mut` is in place (the token
+            // is uniquely held) and the checksum proves every hop's
+            // mutation survives.
             let slot = (t.hops_left as usize) % t.pages.len();
             t.pages[slot].1.make_mut()[..8].copy_from_slice(&t.acc.to_le_bytes());
-            if semantics == PayloadSemantics::SeedClone {
-                // The seed message contract: the fabric cloned every
-                // buffer into the envelope on post (`bytes: Vec<u8>`).
-                for (_, page) in &mut t.pages {
-                    *page = Page::from(page.as_slice());
-                }
-            }
             let wire = bulk_wire_bytes(t.pages.len());
             if t.hops_left == 0 {
                 // Close the token: fold the final stamp of every page
@@ -283,46 +241,33 @@ fn main() {
          {flood} flood posts/node",
         token_count(nodes)
     );
-    eprintln!("seed baseline: thread-per-node engine, clone-per-hop contract...");
-    let baseline =
-        run(EngineMode::ThreadPerNode, PayloadSemantics::SeedClone, nodes, notif_hops, bulk_hops, flood);
-    eprintln!("legacy engine, zero-copy contract (engine-delta control)...");
-    let legacy =
-        run(EngineMode::ThreadPerNode, PayloadSemantics::ZeroCopy, nodes, notif_hops, bulk_hops, flood);
-    eprintln!("sharded engine, run 1...");
-    let sharded =
-        run(EngineMode::default(), PayloadSemantics::ZeroCopy, nodes, notif_hops, bulk_hops, flood);
-    eprintln!("sharded engine, run 2 (determinism check)...");
-    let again =
-        run(EngineMode::default(), PayloadSemantics::ZeroCopy, nodes, notif_hops, bulk_hops, flood);
+    let run_with = |mode| run(mode, nodes, notif_hops, bulk_hops, flood);
+    eprintln!("one worker...");
+    let serial = run_with(EngineMode::Sharded { workers: 1 });
+    eprintln!("one worker per node...");
+    let per_node = run_with(EngineMode::Sharded { workers: nodes });
+    eprintln!("default workers, run 1...");
+    let sharded = run_with(EngineMode::default());
+    eprintln!("default workers, run 2 (determinism check)...");
+    let again = run_with(EngineMode::default());
 
-    // Engines AND payload contracts must be observationally equivalent
-    // in virtual time: all four runs agree bit-for-bit.
-    for (name, r) in [("baseline", &baseline), ("legacy", &legacy), ("again", &again)] {
+    // Worker counts must be observationally equivalent in virtual time:
+    // all four runs agree bit-for-bit.
+    for (name, r) in [("serial", &serial), ("per-node", &per_node), ("again", &again)] {
         assert_eq!(sharded.checksum, r.checksum, "checksum drift vs {name} run");
         assert_eq!(sharded.sim_time_ns, r.sim_time_ns, "virtual time drift vs {name} run");
         assert_eq!(sharded.stats, r.stats, "fabric counter drift vs {name} run");
     }
 
     let delivered = sharded.stats["delivered"];
-    let eps_baseline = events_per_sec(&baseline);
-    let eps_legacy = events_per_sec(&legacy);
+    let eps_serial = events_per_sec(&serial);
+    let eps_per_node = events_per_sec(&per_node);
     let eps_sharded = events_per_sec(&sharded).max(events_per_sec(&again));
-    let speedup = eps_sharded as f64 / eps_baseline as f64;
-    let engine_only = eps_sharded as f64 / eps_legacy as f64;
     println!(
-        "{delivered} events  seed baseline {:>7.1} ms ({eps_baseline}/s)  sharded {:>7.1} ms \
-         ({eps_sharded}/s)  speedup {speedup:.1}x (engine alone {engine_only:.1}x)",
-        baseline.wall_ns as f64 / 1e6,
+        "{delivered} events  one worker {eps_serial}/s  one per node {eps_per_node}/s  \
+         default {:>7.1} ms ({eps_sharded}/s)",
         sharded.wall_ns.min(again.wall_ns) as f64 / 1e6,
     );
-    if !args.quick {
-        assert!(
-            speedup >= 10.0,
-            "redesigned fabric below the 10x floor: {eps_sharded}/s vs {eps_baseline}/s \
-             ({speedup:.1}x)"
-        );
-    }
 
     // Virtual-time report: byte-identical across runs by construction.
     let counters =
@@ -331,7 +276,7 @@ fn main() {
         "engine",
         &Json::obj([
             ("figure", Json::str("engine")),
-            ("title", Json::str("Sharded zero-copy fabric vs thread-per-node baseline")),
+            ("title", Json::str("Sharded zero-copy fabric across engine worker counts")),
             ("nodes", Json::int(nodes)),
             ("tokens", Json::int(token_count(nodes))),
             ("notif_hops_per_token", Json::int(notif_hops)),
@@ -356,13 +301,10 @@ fn main() {
             ("nodes", Json::int(nodes)),
             ("workers", Json::int(EngineMode::default().resolved_workers(nodes))),
             ("events", Json::int(delivered)),
-            ("baseline_wall_ms", Json::num(baseline.wall_ns as f64 / 1e6)),
-            ("baseline_events_per_sec", Json::int(eps_baseline)),
-            ("legacy_zero_copy_events_per_sec", Json::int(eps_legacy)),
+            ("serial_events_per_sec", Json::int(eps_serial)),
+            ("per_node_events_per_sec", Json::int(eps_per_node)),
             ("sharded_wall_ms", Json::num(sharded.wall_ns.min(again.wall_ns) as f64 / 1e6)),
             ("events_per_sec", Json::int(eps_sharded)),
-            ("speedup_x", Json::num(speedup)),
-            ("engine_only_speedup_x", Json::num(engine_only)),
             ("backpressure_waits", Json::int(sharded.bp_waits)),
         ]),
     );

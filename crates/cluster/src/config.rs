@@ -58,9 +58,9 @@ pub struct FabricConfig {
     /// configured), so a departed node is unreachable until it
     /// recovers. `None` keeps membership static.
     pub membership: Option<MembershipPlan>,
-    /// Which delivery engine runs the fabric (default: the sharded
-    /// event-driven scheduler). Virtual-time results are identical
-    /// across engines; only wall-clock throughput differs.
+    /// How the fabric's delivery engine is sized (default: auto-sized
+    /// worker pool). Virtual-time results are identical for any worker
+    /// count; only wall-clock throughput differs.
     pub engine: EngineMode,
     /// Synchronization topology for the protocol layers built on this
     /// fabric (barrier structure, lock handoff, write-notice wire
@@ -379,7 +379,7 @@ mod tests {
             .unified_messaging(true)
             .chaos(plan)
             .resilience(Resilience { timeout_ns: 2_000_000, ..Resilience::default() })
-            .engine(EngineMode::ThreadPerNode)
+            .engine(EngineMode::Sharded { workers: 3 })
             .build();
         assert_eq!(cfg.nodes, 8);
         assert_eq!(cfg.cpus_per_node, 1);
@@ -387,7 +387,7 @@ mod tests {
         assert_eq!(cfg.faults.as_ref().unwrap().seed, 7);
         assert_eq!(cfg.faults.as_ref().unwrap().default_link.drop_ppm, 1_000);
         assert_eq!(cfg.resilience.unwrap().timeout_ns, 2_000_000);
-        assert_eq!(cfg.engine, EngineMode::ThreadPerNode);
+        assert_eq!(cfg.engine, EngineMode::Sharded { workers: 3 });
     }
 
     #[test]

@@ -158,7 +158,7 @@ impl ClusterConfig {
     /// Build from a parsed configuration file. Recognized keys:
     /// `nodes` (usize, required), `platform` (smp|hybrid|swdsm,
     /// required), `unified_messaging` (bool), `engine`
-    /// (`threads` | `sharded` | `sharded:N`), `sync`
+    /// (`sharded` | `sharded:N`), `sync`
     /// (`centralized` | `scalable` | `tree` | `tree:K` |
     /// `dissemination`), `place_home` (`region:page:node` list),
     /// `place_lock` (`lock:node` list), `membership`
@@ -283,11 +283,14 @@ mod tests {
     fn engine_key_selects_delivery_engine() {
         let cfg = ClusterConfig::parse("nodes=2\nplatform=swdsm").unwrap();
         assert_eq!(cfg.engine, EngineMode::default());
-        let cfg = ClusterConfig::parse("nodes=2\nplatform=swdsm\nengine=threads").unwrap();
-        assert_eq!(cfg.engine, EngineMode::ThreadPerNode);
-        assert_eq!(cfg.fabric().engine, EngineMode::ThreadPerNode);
+        for retired in ["threads", "thread-per-node", "legacy"] {
+            let text = format!("nodes=2\nplatform=swdsm\nengine={retired}");
+            let err = ClusterConfig::parse(&text).unwrap_err();
+            assert!(err.contains("sharded | sharded:N"), "{retired}: {err}");
+        }
         let cfg = ClusterConfig::parse("nodes=2\nplatform=swdsm\nengine=sharded:3").unwrap();
         assert_eq!(cfg.engine, EngineMode::Sharded { workers: 3 });
+        assert_eq!(cfg.fabric().engine, EngineMode::Sharded { workers: 3 });
         assert!(ClusterConfig::parse("nodes=2\nplatform=swdsm\nengine=warp").is_err());
     }
 

@@ -20,9 +20,10 @@
 //! * Write-only initialization — pathological for page-based software
 //!   DSM — is cheap (the paper's LU observation in Figure 3).
 //!
-//! Synchronization uses SCI messaging through [`sync`], a reusable
-//! manager-based lock/barrier core (also reused by the SMP platform in
-//! `hamster-core`).
+//! Synchronization uses SCI messaging through [`sync`], the transport
+//! glue that drives the software DSM's lock and barrier state machines
+//! (`swdsm::lockmgr`, `swdsm::barriermgr`) without write notices; the
+//! SMP platform in `hamster-core` reuses it.
 
 pub mod node;
 pub mod sync;

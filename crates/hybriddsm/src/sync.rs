@@ -3,27 +3,27 @@
 //!
 //! Both hardware-backed platforms (hybrid DSM, SMP) need distributed
 //! locks and barriers but no write-notice machinery — memory is
-//! physically shared, so synchronization is *only* about ordering. This
-//! module provides that: locks are owned by manager nodes (`lock %
-//! nodes`); barriers are rooted at `id % nodes` and run either through
-//! that central manager or as an aggregation/release-wave tree,
-//! following the fabric's [`cluster::SyncTopology`] (the ordering-only
-//! mirror of the software DSM's tree barrier — no notices ride the
-//! waves here). All traffic rides the cluster's configured link.
+//! physically shared, so synchronization is *only* about ordering. The
+//! protocol state lives in the software DSM's pure state machines
+//! ([`swdsm::lockmgr::LockMgr`], [`swdsm::barriermgr::BarrierMgr`] and
+//! [`swdsm::barriermgr::TreeBarrier`]), driven here with empty intervals
+//! so no notice ever rides a grant or a wave; this module is only the
+//! transport glue and the wire sizes. Locks are owned by manager nodes
+//! (`lock % nodes`); barriers are rooted at `id % nodes` and run either
+//! through that central manager or as an aggregation/release-wave tree,
+//! following the fabric's [`cluster::SyncTopology`]. All traffic rides
+//! the cluster's configured link.
 
 use cluster::{BarrierTopology, Cluster, NodeCtx};
 use interconnect::{downcast, mailbox, Outcome};
+use memwire::Interval;
 use parking_lot::Mutex;
 use sim::Histogram;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Correlation id for a lock grant: packs `(grantee, lock)` the same way
-/// the software DSM does, so the analyzer's handoff-chain logic works
-/// unchanged across both protocols.
-fn grant_corr(grantee: usize, lock: u32) -> u64 {
-    ((grantee as u64 + 1) << 32) | (lock as u64 + 1)
-}
+use swdsm::barriermgr::{BarrierMgr, BarrierStep, TreeBarrier, TreeStep, TreeTopo};
+use swdsm::lockmgr::{grant_corr, Acquire, LockMgr, Mode};
+use swdsm::proto::NoticeSet;
 
 /// Message kinds (0x2xx block). `kind_base` offsets allow two cores on
 /// one fabric.
@@ -39,37 +39,6 @@ const TREE_UP: u32 = 0x205;
 const TREE_AGG: u32 = 0x206;
 /// The release wave travelling from a parent to a child subtree.
 const TREE_WAVE: u32 = 0x207;
-
-#[derive(Default)]
-struct LockSlot {
-    holders: Vec<usize>,
-    excl: bool,
-    /// Waiters with their exclusivity flag and virtual arrival time.
-    queue: VecDeque<(usize, bool, u64)>,
-    /// Virtual time the last exclusive hold ended (floor for shared
-    /// grants) and the lock last became fully free (floor for
-    /// exclusive grants).
-    free_excl_ns: u64,
-    free_any_ns: u64,
-}
-
-#[derive(Default)]
-struct BarrierSlot {
-    epoch: u64,
-    /// Ranks arrived this epoch (set semantics: a retried arrival whose
-    /// ack was lost must not count twice).
-    arrived: Vec<usize>,
-    latest_ns: u64,
-}
-
-#[derive(Default)]
-struct MgrState {
-    locks: HashMap<u32, LockSlot>,
-    barriers: HashMap<u32, BarrierSlot>,
-    /// Last released (epoch, release_ns) per barrier id, kept so a
-    /// re-arrival after a lost release broadcast gets a targeted replay.
-    released: HashMap<u32, (u64, u64)>,
-}
 
 enum LockReply {
     Granted,
@@ -107,141 +76,9 @@ struct TreeWaveMsg {
     release_ns: u64,
 }
 
-/// This node's place in the barrier tree for one id: the root is
-/// `id % nodes`, heap positions are ranks rotated so the root sits at
-/// position 0, and position `p`'s children occupy `fanout*p + 1 ..=
-/// fanout*p + fanout`.
-struct TreeShape {
-    parent: Option<usize>,
-    children: Vec<usize>,
-}
-
-impl TreeShape {
-    fn new(id: u32, me: usize, nodes: usize, fanout: usize) -> Self {
-        let root = id as usize % nodes;
-        let node_of = |pos: usize| (root + pos) % nodes;
-        let pos = (me + nodes - root) % nodes;
-        let parent = (pos > 0).then(|| node_of((pos - 1) / fanout));
-        let children =
-            (fanout * pos + 1..=fanout * pos + fanout).filter(|&c| c < nodes).map(node_of).collect();
-        Self { parent, children }
-    }
-}
-
-/// What the tree state machine wants done after an event.
-enum TreeStep {
-    /// Not complete yet (or a duplicate wave): nothing to send.
-    Waiting,
-    /// This subtree is fully aggregated: report to the parent.
-    Up { parent: usize, latest_ns: u64 },
-    /// The barrier released at this node: wave to the children and wake
-    /// the local application.
-    Deliver { release_ns: u64 },
-    /// A retried self-arrival for an epoch already released here.
-    Redeliver { release_ns: u64 },
-    /// A retried child aggregate for a released epoch: its wave was
-    /// lost, resend it.
-    ResendWave { child: usize, release_ns: u64 },
-}
-
-#[derive(Default)]
-struct TreeSlot {
-    epoch: u64,
-    self_arrived: bool,
-    /// Direct children whose whole subtree has aggregated (set
-    /// semantics against retried aggregates).
-    children_arrived: Vec<usize>,
-    latest_ns: u64,
-}
-
-impl TreeSlot {
-    fn is_fresh(&self) -> bool {
-        !self.self_arrived && self.children_arrived.is_empty()
-    }
-}
-
-/// Per-node tree-barrier participant state (one slot per barrier id,
-/// plus a one-epoch-back release cache for replaying lost edges).
-#[derive(Default)]
-struct TreeNodeState {
-    slots: HashMap<u32, TreeSlot>,
-    released: HashMap<u32, (u64, u64)>,
-}
-
-impl TreeNodeState {
-    fn slot(&mut self, id: u32, epoch: u64) -> &mut TreeSlot {
-        let slot = self.slots.entry(id).or_default();
-        if slot.is_fresh() {
-            slot.epoch = epoch;
-        }
-        assert_eq!(slot.epoch, epoch, "tree barrier {id}: epoch skew");
-        slot
-    }
-
-    /// Completion check: released epochs consume the slot and enter the
-    /// replay cache; a complete non-root resends its aggregate
-    /// idempotently on every (re)arrival.
-    fn check(&mut self, shape: &TreeShape, id: u32) -> TreeStep {
-        let slot = self.slots.get(&id).unwrap();
-        if !slot.self_arrived || slot.children_arrived.len() != shape.children.len() {
-            return TreeStep::Waiting;
-        }
-        match shape.parent {
-            Some(parent) => TreeStep::Up { parent, latest_ns: slot.latest_ns },
-            None => {
-                let slot = self.slots.remove(&id).unwrap();
-                self.released.insert(id, (slot.epoch, slot.latest_ns));
-                TreeStep::Deliver { release_ns: slot.latest_ns }
-            }
-        }
-    }
-
-    fn self_arrive(&mut self, shape: &TreeShape, id: u32, epoch: u64, now: u64) -> TreeStep {
-        if let Some(&(rel_epoch, release_ns)) = self.released.get(&id) {
-            if rel_epoch == epoch {
-                return TreeStep::Redeliver { release_ns };
-            }
-        }
-        let slot = self.slot(id, epoch);
-        slot.self_arrived = true;
-        slot.latest_ns = slot.latest_ns.max(now);
-        self.check(shape, id)
-    }
-
-    fn child_arrive(
-        &mut self,
-        shape: &TreeShape,
-        id: u32,
-        epoch: u64,
-        child: usize,
-        latest_ns: u64,
-    ) -> TreeStep {
-        if let Some(&(rel_epoch, release_ns)) = self.released.get(&id) {
-            if rel_epoch == epoch {
-                return TreeStep::ResendWave { child, release_ns };
-            }
-        }
-        let slot = self.slot(id, epoch);
-        if slot.children_arrived.contains(&child) {
-            // Retried aggregate while the wave is still pending: the
-            // upward edge is client-retried by this node's own
-            // application thread, so nothing needs resending — the
-            // retry's reply obligation replaces the child's stale park.
-            return TreeStep::Waiting;
-        }
-        slot.children_arrived.push(child);
-        slot.latest_ns = slot.latest_ns.max(latest_ns);
-        self.check(shape, id)
-    }
-
-    fn wave(&mut self, id: u32, epoch: u64, release_ns: u64) -> TreeStep {
-        if self.released.get(&id) == Some(&(epoch, release_ns)) {
-            return TreeStep::Waiting; // duplicate wave
-        }
-        self.slots.remove(&id);
-        self.released.insert(id, (epoch, release_ns));
-        TreeStep::Deliver { release_ns }
-    }
+/// The empty notice set every wave carries here.
+fn no_notices() -> NoticeSet {
+    NoticeSet::Explicit(Vec::new())
 }
 
 /// Cluster-shared synchronization state.
@@ -253,8 +90,15 @@ pub struct SyncCore {
     /// optimization and hardware-coherent platforms don't carry one).
     barrier_topo: BarrierTopology,
     fanout: usize,
-    mgrs: Vec<Arc<Mutex<MgrState>>>,
-    trees: Vec<Arc<Mutex<TreeNodeState>>>,
+    /// Per-node manager state for the locks and central barriers it
+    /// owns, and per-node tree-barrier participant state.
+    locks: Vec<Mutex<LockMgr>>,
+    barriers: Vec<Mutex<BarrierMgr>>,
+    trees: Vec<Mutex<TreeBarrier>>,
+    /// Per manager node, the tenure each queued requester asked under,
+    /// echoed in its posted grant: a requester re-granted by reply (its
+    /// `Queued` reply was lost) must not later enter on that stale post.
+    queued_tenures: Vec<Mutex<HashMap<(u32, usize), u64>>>,
     /// Lock-acquire latency (virtual ns from request to grant-in-hand),
     /// pooled across nodes; feeds the monitoring quantiles.
     lock_hist: Histogram,
@@ -275,130 +119,66 @@ impl SyncCore {
             base: kind_base,
             barrier_topo,
             fanout,
-            mgrs: (0..nodes).map(|_| Arc::new(Mutex::new(MgrState::default()))).collect(),
-            trees: (0..nodes).map(|_| Arc::new(Mutex::new(TreeNodeState::default()))).collect(),
+            locks: (0..nodes).map(|_| Mutex::new(LockMgr::new())).collect(),
+            barriers: (0..nodes).map(|_| Mutex::new(BarrierMgr::new())).collect(),
+            trees: (0..nodes).map(|me| Mutex::new(TreeBarrier::new(me, nodes, fanout, None))).collect(),
+            queued_tenures: (0..nodes).map(|_| Mutex::new(HashMap::new())).collect(),
             lock_hist: Histogram::new(),
         });
         let net = cluster.network();
 
         let c = core.clone();
         net.register_all(kind_base + LOCK_REQ, move |node| {
-            let mgr = c.mgrs[node].clone();
+            let c = c.clone();
             move |ctx: &interconnect::HandlerCtx<'_>, src, p| {
-                let (lock, excl) = downcast::<(u32, bool)>(p);
-                let mut g = mgr.lock();
-                let slot = g.locks.entry(lock).or_default();
-                if slot.holders.contains(&src) {
-                    // Retried request from the current holder (the grant
-                    // reply was lost): re-grant with the original floor.
-                    let floor = if slot.excl { slot.free_any_ns } else { slot.free_excl_ns };
-                    return Outcome::reply_not_before(LockReply::Granted, 8, floor);
-                }
-                if slot.queue.iter().any(|(n, _, _)| *n == src) {
-                    // Already queued (the Queued reply was lost).
-                    return Outcome::reply(LockReply::Queued, 8);
-                }
-                let grantable = if excl {
-                    slot.holders.is_empty()
-                } else {
-                    slot.holders.is_empty() || (!slot.excl && slot.queue.is_empty())
-                };
-                if grantable {
-                    let floor = if excl { slot.free_any_ns } else { slot.free_excl_ns };
-                    slot.holders.push(src);
-                    slot.excl = excl;
-                    sim::trace::instant_corr(
-                        ctx.now.max(floor),
-                        node,
-                        "hybriddsm",
-                        "lock_grant",
-                        lock as u64,
-                        grant_corr(src, lock),
-                    );
-                    Outcome::reply_not_before(LockReply::Granted, 8, floor)
-                } else {
-                    slot.queue.push_back((src, excl, ctx.now));
-                    Outcome::reply(LockReply::Queued, 8)
+                let (lock, mode, tenure) = downcast::<(u32, Mode, u64)>(p);
+                // A retried request from the current holder (its grant
+                // reply was lost) is re-granted with the original floor;
+                // one from a queued node keeps its queue entry.
+                match c.locks[node].lock().acquire_mode(lock, src, mode, ctx.now) {
+                    Acquire::Granted(_, floor) => {
+                        sim::trace::instant_corr(
+                            ctx.now.max(floor),
+                            node,
+                            "hybriddsm",
+                            "lock_grant",
+                            lock as u64,
+                            grant_corr(src, lock),
+                        );
+                        Outcome::reply_not_before(LockReply::Granted, 8, floor)
+                    }
+                    Acquire::Queued => {
+                        c.queued_tenures[node].lock().insert((lock, src), tenure);
+                        Outcome::reply(LockReply::Queued, 8)
+                    }
                 }
             }
         });
 
         let c = core.clone();
-        let base = kind_base;
         net.register_all(kind_base + LOCK_REL, move |node| {
-            let mgr = c.mgrs[node].clone();
+            let c = c.clone();
             move |ctx: &interconnect::HandlerCtx<'_>, src, p| {
                 let lock = downcast::<u32>(p);
-                let mut g = mgr.lock();
-                // A retried release whose first copy already ran finds
-                // nothing to do: idempotent no-op, never a panic.
-                let Some(slot) = g.locks.get_mut(&lock) else {
-                    return Outcome::done();
-                };
-                let Some(pos) = slot.holders.iter().position(|&h| h == src) else {
-                    return Outcome::done();
-                };
-                let was_excl = slot.excl;
-                slot.holders.swap_remove(pos);
-                if slot.holders.is_empty() {
-                    slot.free_any_ns = slot.free_any_ns.max(ctx.now);
-                    if was_excl {
-                        slot.free_excl_ns = slot.free_excl_ns.max(ctx.now);
-                    }
-                }
-                if slot.holders.is_empty() {
-                    // Grant the earliest virtual arrival (schedule-
-                    // independent handover).
-                    if let Some(first) = slot
-                        .queue
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, (_, _, t))| *t)
-                        .map(|(i, _)| i)
-                    {
-                        let (next, excl, _) = slot.queue.remove(first).unwrap();
-                        slot.holders.push(next);
-                        slot.excl = excl;
-                        sim::trace::instant_corr(
-                            ctx.now,
-                            node,
-                            "hybriddsm",
-                            "lock_grant",
-                            lock as u64,
-                            grant_corr(next, lock),
-                        );
-                        let tag = mailbox::tag(base + LOCK_GRANT, lock);
-                        ctx.post_tagged(next, base + LOCK_GRANT, lock, 8, tag);
-                        if !excl {
-                            let cutoff = slot
-                                .queue
-                                .iter()
-                                .filter(|(_, e, _)| *e)
-                                .map(|(_, _, t)| *t)
-                                .min()
-                                .unwrap_or(u64::MAX);
-                            let mut i = 0;
-                            while i < slot.queue.len() {
-                                let (_, e, t) = slot.queue[i];
-                                if !e && t <= cutoff {
-                                    let (r, _, _) = slot.queue.remove(i).unwrap();
-                                    slot.holders.push(r);
-                                    sim::trace::instant_corr(
-                                        ctx.now,
-                                        node,
-                                        "hybriddsm",
-                                        "lock_grant",
-                                        lock as u64,
-                                        grant_corr(r, lock),
-                                    );
-                                    let tag = mailbox::tag(base + LOCK_GRANT, lock);
-                                    ctx.post_tagged(r, base + LOCK_GRANT, lock, 8, tag);
-                                } else {
-                                    i += 1;
-                                }
-                            }
-                        }
-                    }
+                // A retried release whose first copy already ran grants
+                // nobody. Otherwise the earliest virtual arrival (plus
+                // any reader batch behind it) takes over.
+                let grants = c.locks[node].lock().release(lock, src, Interval::default(), ctx.now);
+                for (next, _) in grants {
+                    let tenure = c.queued_tenures[node]
+                        .lock()
+                        .remove(&(lock, next))
+                        .expect("a granted waiter was queued with its tenure");
+                    sim::trace::instant_corr(
+                        ctx.now,
+                        node,
+                        "hybriddsm",
+                        "lock_grant",
+                        lock as u64,
+                        grant_corr(next, lock),
+                    );
+                    let tag = mailbox::tag(c.base + LOCK_GRANT, lock);
+                    ctx.post_tagged(next, c.base + LOCK_GRANT, (lock, tenure), 8, tag);
                 }
                 Outcome::done()
             }
@@ -408,80 +188,68 @@ impl SyncCore {
             let mb = cluster.network().mailbox(node);
             let base = kind_base;
             move |ctx: &interconnect::HandlerCtx<'_>, _src, p| {
-                let lock = downcast::<u32>(p);
-                mb.deposit(mailbox::tag(base + LOCK_GRANT, lock), Box::new(()), ctx.now);
+                let (lock, tenure) = downcast::<(u32, u64)>(p);
+                mb.deposit(mailbox::tag(base + LOCK_GRANT, lock), Box::new(tenure), ctx.now);
                 Outcome::done()
             }
         });
 
         let c = core.clone();
         net.register_all(kind_base + BAR_ARRIVE, move |node| {
-            let mgr = c.mgrs[node].clone();
-            let nodes = c.nodes;
-            let base = kind_base;
+            let c = c.clone();
             move |ctx: &interconnect::HandlerCtx<'_>, src, p| {
                 let arr = downcast::<BarArrive>(p);
-                let mut g = mgr.lock();
-                let tag = mailbox::tag(base + BAR_RELEASE, arr.id);
-                if let Some(&(rel_epoch, release_ns)) = g.released.get(&arr.id) {
-                    if arr.epoch == rel_epoch {
-                        // Re-arrival for an already-released epoch: the
-                        // arriver's release reply was lost. Answer with
-                        // the cached epoch.
-                        return Outcome::reply_not_before(rel_epoch, 16, release_ns);
+                let tag = mailbox::tag(c.base + BAR_RELEASE, arr.id);
+                let step = c.barriers[node].lock().arrive(
+                    arr.id,
+                    arr.epoch,
+                    src,
+                    Interval::default(),
+                    ctx.now,
+                    c.nodes,
+                );
+                match step {
+                    // Pending (first copy or a retried duplicate): on a
+                    // resilient fabric, park the reply until the last
+                    // participant arrives.
+                    BarrierStep::Waiting if ctx.resilient() => Outcome::defer(tag),
+                    BarrierStep::Waiting => Outcome::done(),
+                    // Re-arrival for an already-released epoch: the
+                    // arriver's release reply was lost. Answer with the
+                    // cached epoch.
+                    BarrierStep::Replay { epoch, release_ns, .. } => {
+                        Outcome::reply_not_before(epoch, 16, release_ns)
                     }
-                    assert!(arr.epoch > rel_epoch, "barrier {}: stale epoch {}", arr.id, arr.epoch);
-                }
-                let slot = g.barriers.entry(arr.id).or_default();
-                if slot.arrived.is_empty() {
-                    slot.epoch = arr.epoch;
-                }
-                assert_eq!(slot.epoch, arr.epoch, "barrier {}: epoch skew", arr.id);
-                let counted = slot.arrived.contains(&src);
-                if !counted {
-                    slot.arrived.push(src);
-                    slot.latest_ns = slot.latest_ns.max(ctx.now);
-                }
-                if slot.arrived.len() == nodes {
-                    let release_ns = slot.latest_ns;
-                    let arrived = std::mem::take(&mut slot.arrived);
-                    slot.latest_ns = 0;
-                    g.released.insert(arr.id, (arr.epoch, release_ns));
-                    drop(g);
-                    // corr = epoch ties the release to the matching
-                    // client-side barrier spans.
-                    sim::trace::instant_corr(
-                        release_ns,
-                        node,
-                        "hybriddsm",
-                        "barrier_release",
-                        arr.id as u64,
-                        arr.epoch,
-                    );
-                    if ctx.resilient() {
-                        // Request/reply rendezvous: discharge every
-                        // parked arrival with the release; the final
-                        // arriver takes it as its own reply (see the
-                        // swdsm barrier for the full rationale).
-                        for who in arrived {
-                            if who != src {
-                                ctx.complete_deferred(tag, who, arr.epoch, 16, release_ns);
+                    BarrierStep::Release { epoch, release_ns, intervals } => {
+                        // corr = epoch ties the release to the matching
+                        // client-side barrier spans.
+                        sim::trace::instant_corr(
+                            release_ns,
+                            node,
+                            "hybriddsm",
+                            "barrier_release",
+                            arr.id as u64,
+                            epoch,
+                        );
+                        if ctx.resilient() {
+                            // Request/reply rendezvous: discharge every
+                            // parked arrival with the release; the final
+                            // arriver takes it as its own reply (see the
+                            // swdsm barrier for the full rationale).
+                            for (who, _) in intervals {
+                                if who != src {
+                                    ctx.complete_deferred(tag, who, epoch, 16, release_ns);
+                                }
                             }
+                            return Outcome::reply_not_before(epoch, 16, release_ns);
                         }
-                        return Outcome::reply_not_before(arr.epoch, 16, release_ns);
+                        let rel = BarRelease { id: arr.id, epoch };
+                        for dst in 0..c.nodes {
+                            ctx.post_tagged_at(dst, c.base + BAR_RELEASE, rel, 16, tag, release_ns);
+                        }
+                        Outcome::done()
                     }
-                    let rel = BarRelease { id: arr.id, epoch: arr.epoch };
-                    for dst in 0..nodes {
-                        ctx.post_tagged_at(dst, base + BAR_RELEASE, rel, 16, tag, release_ns);
-                    }
-                    return Outcome::done();
                 }
-                if ctx.resilient() {
-                    // Pending (first copy or a retried duplicate): park
-                    // the reply until the last participant arrives.
-                    return Outcome::defer(tag);
-                }
-                Outcome::done()
             }
         });
 
@@ -495,15 +263,14 @@ impl SyncCore {
             }
         });
 
-        // Tree barrier (ordering-only mirror of the software DSM's). On
-        // a plain fabric a node's own arrival bounces off its own
-        // handler so arrivals, child aggregates, and waves all mutate
-        // the per-node state from one serialized context. On resilient
-        // fabrics only TREE_AGG crosses the wire, as a retried *request*
-        // from the child's application thread whose (deferred) reply is
-        // that child's release wave — fire-and-forget tree edges cannot
-        // heal, because a parked reply has no client-side deadline (see
-        // the swdsm tree barrier for the full rationale).
+        // Tree barrier. On a plain fabric a node's own arrival bounces
+        // off its own handler so arrivals, child aggregates, and waves
+        // all mutate the per-node state from one serialized context. On
+        // resilient fabrics only TREE_AGG crosses the wire, as a retried
+        // *request* from the child's application thread whose (deferred)
+        // reply is that child's release wave — fire-and-forget tree
+        // edges cannot heal, because a parked reply has no client-side
+        // deadline (see the swdsm tree barrier for the full rationale).
         let c = core.clone();
         net.register_all(kind_base + TREE_UP, move |node| {
             let c = c.clone();
@@ -511,30 +278,26 @@ impl SyncCore {
             move |ctx: &interconnect::HandlerCtx<'_>, _src, p| {
                 debug_assert!(!ctx.resilient(), "resilient tree arrivals stay on the app thread");
                 let arr = downcast::<BarArrive>(p);
-                let shape = TreeShape::new(arr.id, node, c.nodes, c.fanout);
-                let step = c.trees[node].lock().self_arrive(&shape, arr.id, arr.epoch, ctx.now);
-                let tag = mailbox::tag(c.base + BAR_RELEASE, arr.id);
+                let step =
+                    c.trees[node].lock().self_arrive(arr.id, arr.epoch, Interval::default(), ctx.now);
                 match step {
                     TreeStep::Waiting => {}
-                    TreeStep::Up { parent, latest_ns } => {
+                    TreeStep::Up { parent, latest_ns, .. } => {
                         let msg =
                             TreeAggMsg { id: arr.id, epoch: arr.epoch, child: node, latest_ns };
                         ctx.post(parent, c.base + TREE_AGG, msg, 32);
                     }
-                    TreeStep::Deliver { release_ns } => {
+                    TreeStep::Deliver { release_ns, .. } => {
                         // Only the root completes from its own arrival
                         // without an incoming wave; the deposit is
                         // stamped with the release instant, not
                         // ctx.now, which is a real-time race.
-                        c.tree_release(ctx, &shape, arr.id, arr.epoch, release_ns, Some(node));
+                        c.tree_release(ctx, node, arr.id, arr.epoch, release_ns, true);
+                        let tag = mailbox::tag(c.base + BAR_RELEASE, arr.id);
                         mb.deposit(tag, Box::new(arr.epoch), release_ns);
                     }
-                    TreeStep::Redeliver { release_ns } => {
-                        let _ = release_ns;
-                        mb.deposit(tag, Box::new(arr.epoch), ctx.now);
-                    }
-                    TreeStep::ResendWave { .. } => {
-                        unreachable!("self-arrival never resends a child wave")
+                    TreeStep::Redeliver { .. } | TreeStep::ResendWave { .. } => {
+                        unreachable!("a plain fabric never retries a self-arrival")
                     }
                 }
                 Outcome::done()
@@ -548,9 +311,8 @@ impl SyncCore {
             move |ctx: &interconnect::HandlerCtx<'_>, _src, p| {
                 let msg = downcast::<TreeAggMsg>(p);
                 let (id, epoch, child) = (msg.id, msg.epoch, msg.child);
-                let shape = TreeShape::new(id, node, c.nodes, c.fanout);
                 let step =
-                    c.trees[node].lock().child_arrive(&shape, id, epoch, child, msg.latest_ns);
+                    c.trees[node].lock().child_arrive(id, epoch, child, msg.latest_ns, Vec::new());
                 if ctx.resilient() {
                     // Pull model: the reply to this request is the
                     // child's release wave, parked until this node's
@@ -559,7 +321,8 @@ impl SyncCore {
                     let wkey = mailbox::tag(c.base + TREE_WAVE, id);
                     return match step {
                         TreeStep::Waiting => Outcome::defer(wkey),
-                        step @ (TreeStep::Up { .. } | TreeStep::Deliver { .. }) => {
+                        TreeStep::Up { latest_ns: when, .. }
+                        | TreeStep::Deliver { release_ns: when, .. } => {
                             // This aggregate completed the local
                             // subtree: hand the step to the blocked
                             // application thread over the local
@@ -569,19 +332,13 @@ impl SyncCore {
                             // aggregate the engine processes last is a
                             // real-time race, and its service end must
                             // not leak into virtual time.
-                            let when = match &step {
-                                TreeStep::Up { latest_ns, .. } => *latest_ns,
-                                TreeStep::Deliver { release_ns } => *release_ns,
-                                _ => unreachable!(),
-                            };
                             let skey = mailbox::tag(c.base + TREE_AGG, id);
                             mb.deposit(skey, Box::new(step), when);
                             Outcome::defer(wkey)
                         }
-                        TreeStep::ResendWave { child: cc, release_ns } => {
+                        TreeStep::ResendWave { release_ns, .. } => {
                             // Retried aggregate for a released epoch:
                             // the original wave reply was lost.
-                            debug_assert_eq!(cc, child);
                             let wave = TreeWaveMsg { id, epoch, release_ns };
                             Outcome::reply_not_before(wave, 24, release_ns)
                         }
@@ -592,20 +349,20 @@ impl SyncCore {
                 }
                 match step {
                     TreeStep::Waiting => {}
-                    TreeStep::Up { parent, latest_ns } => {
+                    TreeStep::Up { parent, latest_ns, .. } => {
                         let up = TreeAggMsg { id, epoch, child: node, latest_ns };
                         ctx.post(parent, c.base + TREE_AGG, up, 32);
                     }
-                    TreeStep::Deliver { release_ns } => {
+                    TreeStep::Deliver { release_ns, .. } => {
                         // Root completion off the final child aggregate:
                         // wave down, then wake the root's own thread at
                         // the release instant — not ctx.now, which is a
                         // real-time race.
-                        c.tree_release(ctx, &shape, id, epoch, release_ns, Some(node));
+                        c.tree_release(ctx, node, id, epoch, release_ns, true);
                         let tag = mailbox::tag(c.base + BAR_RELEASE, id);
                         mb.deposit(tag, Box::new(epoch), release_ns);
                     }
-                    TreeStep::ResendWave { child, release_ns } => {
+                    TreeStep::ResendWave { child, release_ns, .. } => {
                         let wave = TreeWaveMsg { id, epoch, release_ns };
                         ctx.post_at(child, c.base + TREE_WAVE, wave, 24, release_ns);
                     }
@@ -624,12 +381,12 @@ impl SyncCore {
             move |ctx: &interconnect::HandlerCtx<'_>, _src, p| {
                 debug_assert!(!ctx.resilient(), "resilient waves ride TREE_AGG replies");
                 let msg = downcast::<TreeWaveMsg>(p);
-                let step = c.trees[node].lock().wave(msg.id, msg.epoch, msg.release_ns);
+                let step =
+                    c.trees[node].lock().wave(msg.id, msg.epoch, msg.release_ns, no_notices());
                 match step {
                     TreeStep::Waiting => {} // duplicate wave, already released
-                    TreeStep::Deliver { release_ns } => {
-                        let shape = TreeShape::new(msg.id, node, c.nodes, c.fanout);
-                        c.tree_release(ctx, &shape, msg.id, msg.epoch, release_ns, None);
+                    TreeStep::Deliver { release_ns, .. } => {
+                        c.tree_release(ctx, node, msg.id, msg.epoch, release_ns, false);
                         let tag = mailbox::tag(c.base + BAR_RELEASE, msg.id);
                         mb.deposit(tag, Box::new(msg.epoch), ctx.now);
                     }
@@ -642,20 +399,20 @@ impl SyncCore {
         core
     }
 
-    /// The release reached a node's position in the barrier tree:
+    /// The release reached `node`'s position in the barrier tree:
     /// forward the wave to every child subtree (departing at the joined
-    /// release time). `trace_root` is the node id when the caller is
-    /// the tree root — only the root traces the release instant.
+    /// release time), in tree-position order. Only the tree root
+    /// (`is_root`) traces the release instant.
     fn tree_release(
         &self,
         ctx: &interconnect::HandlerCtx<'_>,
-        shape: &TreeShape,
+        node: usize,
         id: u32,
         epoch: u64,
         release_ns: u64,
-        trace_root: Option<usize>,
+        is_root: bool,
     ) {
-        if let Some(node) = trace_root {
+        if is_root {
             sim::trace::instant_corr(
                 release_ns,
                 node,
@@ -665,7 +422,7 @@ impl SyncCore {
                 epoch,
             );
         }
-        for &child in &shape.children {
+        for child in TreeTopo::new(id, self.nodes, self.fanout).children(node) {
             let wave = TreeWaveMsg { id, epoch, release_ns };
             ctx.post_at(child, self.base + TREE_WAVE, wave, 24, release_ns);
         }
@@ -673,7 +430,12 @@ impl SyncCore {
 
     /// Bind a per-node handle.
     pub fn node(self: &Arc<Self>, ctx: &NodeCtx) -> SyncNode {
-        SyncNode { core: self.clone(), ctx: ctx.clone(), epochs: Mutex::new(HashMap::new()) }
+        SyncNode {
+            core: self.clone(),
+            ctx: ctx.clone(),
+            epochs: Mutex::new(HashMap::new()),
+            tenures: Mutex::new(HashMap::new()),
+        }
     }
 
     /// Lock-acquire latency histogram (shared storage: the returned
@@ -688,17 +450,19 @@ pub struct SyncNode {
     core: Arc<SyncCore>,
     ctx: NodeCtx,
     epochs: Mutex<HashMap<u32, u64>>,
+    /// Lock id → this node's acquire count (its current tenure).
+    tenures: Mutex<HashMap<u32, u64>>,
 }
 
 impl SyncNode {
     /// Acquire global lock `lock` exclusively (blocking).
     pub fn acquire(&self, lock: u32) {
-        self.acquire_mode(lock, true);
+        self.acquire_mode(lock, Mode::Excl);
     }
 
     /// Acquire global lock `lock` in shared (reader) mode.
     pub fn acquire_shared(&self, lock: u32) {
-        self.acquire_mode(lock, false);
+        self.acquire_mode(lock, Mode::Shared);
     }
 
     /// Whether the fabric was built with a timeout/retry policy (fault
@@ -707,9 +471,9 @@ impl SyncNode {
         self.ctx.port().resilience().is_some()
     }
 
-    fn acquire_mode(&self, lock: u32, excl: bool) {
+    fn acquire_mode(&self, lock: u32, mode: Mode) {
         let t0 = self.ctx.clock().now();
-        self.acquire_inner(lock, excl);
+        self.acquire_inner(lock, mode);
         let now = self.ctx.clock().now();
         self.core.lock_hist.record(now.saturating_sub(t0));
         sim::trace::span_corr(
@@ -723,13 +487,17 @@ impl SyncNode {
         );
     }
 
-    fn acquire_inner(&self, lock: u32, excl: bool) {
+    fn acquire_inner(&self, lock: u32, mode: Mode) {
         let mgr = lock as usize % self.core.nodes;
+        let tenure = {
+            let mut tenures = self.tenures.lock();
+            let t = tenures.entry(lock).or_insert(0);
+            *t += 1;
+            *t
+        };
+        let req = (lock, mode, tenure);
         if !self.resilient() {
-            let rep = self
-                .ctx
-                .port()
-                .request(mgr, self.core.base + LOCK_REQ, (lock, excl), 16);
+            let rep = self.ctx.port().request(mgr, self.core.base + LOCK_REQ, req, 16);
             if let LockReply::Queued = downcast::<LockReply>(rep) {
                 let _ = self
                     .ctx
@@ -741,7 +509,10 @@ impl SyncNode {
         // Resilient protocol: retried requests hit an idempotent manager
         // (a lost grant reply re-grants; a lost Queued reply keeps the
         // original queue entry); a grant destroyed in flight leaves a
-        // loss tombstone, answered by re-requesting.
+        // loss tombstone, answered by re-requesting. A posted grant for
+        // an earlier tenure (entered through a re-granted reply while
+        // the post was in flight) is answered the same way: a real
+        // deposit may have purged this tenure's tombstone.
         let mut rounds = 0u32;
         'req: loop {
             rounds += 1;
@@ -753,7 +524,7 @@ impl SyncNode {
             let rep = self
                 .ctx
                 .port()
-                .request_retrying(mgr, self.core.base + LOCK_REQ, (lock, excl), 16)
+                .request_retrying(mgr, self.core.base + LOCK_REQ, req, 16)
                 .unwrap_or_else(|e| {
                     panic!(
                         "sync node {}: unrecoverable fault acquiring lock {lock}: {e}",
@@ -765,7 +536,8 @@ impl SyncNode {
                 LockReply::Queued => {
                     let tag = mailbox::tag(self.core.base + LOCK_GRANT, lock);
                     match self.ctx.port().wait_mailbox_checked(tag) {
-                        Ok(_) => return,
+                        Ok(granted) if granted.downcast_ref::<u64>() == Some(&tenure) => return,
+                        Ok(_) => continue 'req,
                         Err(e) if e.is_transient() => continue 'req,
                         Err(e) => panic!(
                             "sync node {}: unrecoverable fault waiting for lock {lock}: {e}",
@@ -870,8 +642,8 @@ impl SyncNode {
     /// message to this node's own handler, which serializes it against
     /// aggregates and waves, and the release epoch comes back through
     /// the mailbox. On a resilient fabric the state machine is driven
-    /// from this application thread instead (pull model, mirroring the
-    /// swdsm tree barrier): the subtree aggregate travels as a retried
+    /// from this application thread instead (pull model, as in the swdsm
+    /// tree barrier): the subtree aggregate travels as a retried
     /// `TREE_AGG` request whose deferred reply is this node's release
     /// wave, and the children's parked replies are discharged here once
     /// the wave is in hand — every loss-exposed edge is a client-retried
@@ -886,9 +658,9 @@ impl SyncNode {
             assert_eq!(got, epoch, "tree barrier {id}: epoch mismatch");
             return;
         }
-        let shape = TreeShape::new(id, me, self.core.nodes, self.core.fanout);
+        let topo = TreeTopo::new(id, self.core.nodes, self.core.fanout);
         let now = self.ctx.clock().now();
-        let step = self.core.trees[me].lock().self_arrive(&shape, id, epoch, now);
+        let step = self.core.trees[me].lock().self_arrive(id, epoch, Interval::default(), now);
         // The completing step always travels through the local mailbox,
         // even when this thread's own arrival completed the subtree: if
         // the two completion orders (own-last vs aggregate-last, a
@@ -898,19 +670,14 @@ impl SyncNode {
         let skey = mailbox::tag(self.core.base + TREE_AGG, id);
         match step {
             TreeStep::Waiting => {}
-            step @ (TreeStep::Up { .. } | TreeStep::Deliver { .. }) => {
-                let when = match &step {
-                    TreeStep::Up { latest_ns, .. } => *latest_ns,
-                    TreeStep::Deliver { release_ns } => *release_ns,
-                    _ => unreachable!(),
-                };
+            TreeStep::Up { latest_ns: when, .. } | TreeStep::Deliver { release_ns: when, .. } => {
                 self.ctx.port().mailbox().deposit(skey, Box::new(step), when);
             }
             _ => unreachable!("tree barrier {id}: own arrival produced an impossible step"),
         }
         let step = downcast::<TreeStep>(self.ctx.port().wait_mailbox(skey));
         let release_ns = match step {
-            TreeStep::Up { parent, latest_ns } => {
+            TreeStep::Up { parent, latest_ns, .. } => {
                 let msg = TreeAggMsg { id, epoch, child: me, latest_ns };
                 let rep = self
                     .ctx
@@ -921,12 +688,12 @@ impl SyncNode {
                     });
                 let wave = downcast::<TreeWaveMsg>(rep);
                 assert_eq!(wave.epoch, epoch, "tree barrier {id}: epoch mismatch");
-                match self.core.trees[me].lock().wave(id, epoch, wave.release_ns) {
-                    TreeStep::Deliver { release_ns } => release_ns,
+                match self.core.trees[me].lock().wave(id, epoch, wave.release_ns, no_notices()) {
+                    TreeStep::Deliver { release_ns, .. } => release_ns,
                     _ => unreachable!("tree barrier {id}: wave did not deliver"),
                 }
             }
-            TreeStep::Deliver { release_ns } => release_ns,
+            TreeStep::Deliver { release_ns, .. } => release_ns,
             _ => unreachable!("tree barrier {id}: own arrival neither delivered nor went up"),
         };
         // Pin the clock to the deterministic join of arrival stamps so
@@ -934,7 +701,7 @@ impl SyncNode {
         // the wire) leaves the barrier at the same virtual time on
         // every run.
         self.ctx.clock().advance_to(release_ns);
-        if shape.parent.is_none() {
+        if topo.root() == me {
             sim::trace::instant_corr(
                 release_ns,
                 me,
@@ -945,7 +712,7 @@ impl SyncNode {
             );
         }
         let wkey = mailbox::tag(self.core.base + TREE_WAVE, id);
-        for &child in &shape.children {
+        for child in topo.children(me) {
             let wave = TreeWaveMsg { id, epoch, release_ns };
             self.ctx.port().complete_deferred(wkey, child, wave, 24, release_ns);
         }

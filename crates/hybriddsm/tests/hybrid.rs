@@ -334,3 +334,58 @@ fn tree_barrier_heals_lost_release_waves() {
     assert!(stat("faults_dropped") > 0, "the plan never dropped anything");
     assert!(stat("retries") > 0, "lost tree traffic was never retried");
 }
+
+#[test]
+fn manager_locks_heal_lost_requests_grants_and_releases() {
+    // Lock 7 is managed by node 3 (7 % 4) and barrier 1 by node 1
+    // (1 % 4). Every link to and from those two managers is lossy, so
+    // lock requests, grants, queued replies, release acks and barrier
+    // releases all go missing now and then. The retry paths must heal
+    // each loss: a holder whose grant was lost is re-granted, a release
+    // retried after its ack was lost is a no-op, and a barrier arrival
+    // retried after its release was lost gets the cached release. A
+    // waiter re-granted by reply after its `Queued` reply was lost must
+    // not enter a later tenure on the grant that was posted meanwhile.
+    // Whether that last race occurs depends on real-time order, so a
+    // broken tenure check loses an increment only in some runs.
+    use interconnect::fault::{FaultPlan, LinkFaults, RetryPolicy};
+    const ROUNDS: u64 = 8;
+    let lossy = LinkFaults { drop_ppm: 200_000, ..LinkFaults::default() };
+    let mut plan = FaultPlan::seeded(5);
+    for mgr in [3usize, 1] {
+        for n in (0..4).filter(|&n| n != mgr) {
+            plan.per_link.push(((n, mgr), lossy));
+            plan.per_link.push(((mgr, n), lossy));
+        }
+    }
+    let c = Cluster::new(
+        FabricConfig::builder()
+            .nodes(4)
+            .link(LinkKind::Ethernet)
+            .sync(cluster::SyncTopology::centralized())
+            .chaos(plan)
+            .resilience(interconnect::Resilience {
+                retry: RetryPolicy { max_attempts: 24, ..RetryPolicy::default() },
+                ..interconnect::Resilience::default()
+            })
+            .build(),
+    );
+    let dsm = HybridDsm::install(&c, HybridConfig::default());
+    let (report, results) = c.run(|ctx| {
+        let node = dsm.node(ctx);
+        let a = node.alloc(8, Distribution::OnNode(0));
+        node.barrier(1);
+        for _ in 0..ROUNDS {
+            node.acquire(7);
+            let v = node.read_u64(a);
+            node.write_u64(a, v + 1);
+            node.release(7);
+        }
+        node.barrier(1);
+        node.read_u64(a)
+    });
+    assert_eq!(results, vec![4 * ROUNDS; 4], "a lost lock message broke mutual exclusion");
+    let stat = |k: &str| report.net_stats.get(k).copied().unwrap_or(0);
+    assert!(stat("faults_dropped") > 0, "the plan never dropped anything");
+    assert!(stat("retries") > 0, "lost lock traffic was never retried");
+}

@@ -1,11 +1,13 @@
-//! Delivery-engine selection: thread-per-node daemons vs the sharded
-//! event-driven scheduler.
+//! Delivery-engine sizing: the sharded event-driven scheduler's worker
+//! count.
 //!
-//! Both engines execute the *same* envelope-processing code
+//! Every worker count executes the *same* envelope-processing code
 //! (`network::process_envelope`) against the same virtual-time cost
 //! model, so a workload's virtual timings, checksums and traces are
-//! identical across engines; only the real-time execution shape — and
-//! therefore wall-clock throughput — differs. See DESIGN.md §engine.
+//! identical for any count; only the real-time execution shape — and
+//! therefore wall-clock throughput — differs. One worker serialises the
+//! whole fabric; one worker per node gives every node its own thread
+//! (nodes are pinned to worker `node % workers`). See DESIGN.md §2.5.
 
 use crate::mailbox::BoundedQueue;
 use std::str::FromStr;
@@ -21,14 +23,9 @@ pub(crate) const ENGINE_BATCH: usize = 128;
 /// instead — see [`BoundedQueue`].
 pub(crate) const NODE_QUEUE_CAPACITY: usize = 1024;
 
-/// Which delivery engine a fabric runs.
+/// How a fabric's delivery engine is sized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineMode {
-    /// Legacy shape: one communication-daemon OS thread per node, each
-    /// blocking on its own inbox channel. Every delivery to an idle
-    /// node pays a thread wake-up; at 64+ nodes the host drowns in
-    /// mostly-sleeping threads.
-    ThreadPerNode,
     /// Sharded event-driven scheduler: per-node bounded run queues
     /// multiplexed over a small worker pool, batched virtual-time
     /// delivery, wake elision while workers are hot.
@@ -47,11 +44,9 @@ impl Default for EngineMode {
 }
 
 impl EngineMode {
-    /// Worker threads to spawn for `nodes` nodes; `0` means
-    /// thread-per-node daemons.
+    /// Worker threads to spawn for `nodes` nodes.
     pub fn resolved_workers(&self, nodes: usize) -> usize {
         match *self {
-            EngineMode::ThreadPerNode => 0,
             EngineMode::Sharded { workers: 0 } => std::thread::available_parallelism()
                 .map_or(1, |n| n.get())
                 .clamp(1, 8)
@@ -64,19 +59,17 @@ impl EngineMode {
 impl FromStr for EngineMode {
     type Err = String;
 
-    /// `threads` / `thread-per-node` for the legacy engine, `sharded`
-    /// (auto-sized) or `sharded:N` (N workers) for the event-driven one.
+    /// `sharded` (auto-sized) or `sharded:N` (N workers).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let s = s.trim().to_ascii_lowercase();
         match s.as_str() {
-            "threads" | "thread-per-node" | "legacy" => Ok(EngineMode::ThreadPerNode),
             "sharded" => Ok(EngineMode::Sharded { workers: 0 }),
             other => match other.strip_prefix("sharded:") {
                 Some(n) => n
                     .parse::<usize>()
                     .map(|workers| EngineMode::Sharded { workers })
                     .map_err(|e| format!("engine worker count {n:?}: {e}")),
-                None => Err(format!("unknown engine mode {s:?} (threads | sharded[:N])")),
+                None => Err(format!("unknown engine mode {s:?} (sharded | sharded:N)")),
             },
         }
     }
@@ -85,14 +78,13 @@ impl FromStr for EngineMode {
 impl std::fmt::Display for EngineMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            EngineMode::ThreadPerNode => write!(f, "threads"),
             EngineMode::Sharded { workers: 0 } => write!(f, "sharded"),
             EngineMode::Sharded { workers } => write!(f, "sharded:{workers}"),
         }
     }
 }
 
-/// One node's ingress under the sharded engine: the bounded envelope
+/// One node's ingress: the bounded envelope
 /// queue plus the scheduled flag that keeps the node enqueued at most
 /// once on its shard's ready ring.
 pub(crate) struct NodeQueue<T> {
@@ -126,8 +118,10 @@ mod tests {
 
     #[test]
     fn mode_parsing() {
-        assert_eq!("threads".parse::<EngineMode>().unwrap(), EngineMode::ThreadPerNode);
-        assert_eq!("legacy".parse::<EngineMode>().unwrap(), EngineMode::ThreadPerNode);
+        for retired in ["threads", "thread-per-node", "legacy"] {
+            let err = retired.parse::<EngineMode>().unwrap_err();
+            assert!(err.contains("sharded | sharded:N"), "{retired}: {err}");
+        }
         assert_eq!("sharded".parse::<EngineMode>().unwrap(), EngineMode::Sharded { workers: 0 });
         assert_eq!(
             "Sharded:4".parse::<EngineMode>().unwrap(),
@@ -139,18 +133,13 @@ mod tests {
 
     #[test]
     fn mode_display_roundtrips() {
-        for mode in [
-            EngineMode::ThreadPerNode,
-            EngineMode::Sharded { workers: 0 },
-            EngineMode::Sharded { workers: 3 },
-        ] {
+        for mode in [EngineMode::Sharded { workers: 0 }, EngineMode::Sharded { workers: 3 }] {
             assert_eq!(mode.to_string().parse::<EngineMode>().unwrap(), mode);
         }
     }
 
     #[test]
     fn worker_resolution() {
-        assert_eq!(EngineMode::ThreadPerNode.resolved_workers(64), 0);
         let auto = EngineMode::Sharded { workers: 0 }.resolved_workers(64);
         assert!((1..=8).contains(&auto));
         assert_eq!(EngineMode::Sharded { workers: 0 }.resolved_workers(1), 1);

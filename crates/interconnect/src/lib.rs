@@ -5,14 +5,15 @@
 //! Ethernet for the Beowulf/software-DSM configuration, Dolphin SCI for
 //! the hybrid configuration, and the memory bus for SMP-as-cluster). All
 //! protocol traffic between simulated nodes really happens — messages are
-//! delivered across threads and handled by per-node communication daemons
+//! delivered across threads and handled by each node's protocol handlers
 //! — while *time* is charged according to a [`sim::LinkCost`] model.
 //!
 //! Key pieces:
 //!
-//! * [`Network`] — constructs the fabric: one inbox + service thread per
-//!   node, a handler [`router::Router`] per node, and a [`sim::Server`]
-//!   per node modelling protocol-handler occupancy (so a hot page home
+//! * [`Network`] — constructs the fabric: one bounded run queue per node
+//!   drained by the sharded delivery engine's worker pool ([`EngineMode`]),
+//!   a handler [`router::Router`] per node, and a windowed service bus per
+//!   node modelling protocol-handler occupancy (so a hot page home
 //!   exhibits queueing, as on the real cluster).
 //! * [`NodePort`] — the per-node endpoint used by application threads:
 //!   synchronous [`NodePort::request`] (round-trip timed), asynchronous

@@ -90,8 +90,8 @@ pub enum NoticeWire {
 }
 
 /// Typed selection of synchronization structures for every protocol in
-/// the stack (DSM barriers, DSM locks, write-notice wire encoding, and
-/// the hybrid-DSM barrier mirror).
+/// the stack (DSM barriers, DSM locks, write-notice wire encoding; the
+/// hybrid DSM and SMP platforms follow the barrier choice).
 ///
 /// Construct via [`SyncTopology::centralized`] /
 /// [`SyncTopology::scalable`], tweak fields directly for mixed setups,

@@ -1,11 +1,10 @@
 //! Sharded run-queue scheduler: a small worker pool driving many
 //! logical actors (simulated nodes).
 //!
-//! The legacy fabric ran one OS thread per simulated node's
-//! communication daemon. At 64+ nodes on a small host that means dozens
-//! of mostly-sleeping threads, and every message delivery pays a condvar
-//! wake plus a context switch. This module replaces that shape: actors
-//! (nodes) are multiplexed over a few worker threads, each owning one
+//! One OS thread per simulated node's communication daemon would mean
+//! dozens of mostly-sleeping threads at 64+ nodes on a small host, and
+//! every message delivery would pay a condvar wake plus a context
+//! switch. Instead, actors (nodes) are multiplexed over a few worker threads, each owning one
 //! *shard* of the actor space. An actor is *scheduled* onto its shard's
 //! ready ring when it has work; the worker drives it via a callback and
 //! re-queues it while the callback reports more work pending.
@@ -14,8 +13,9 @@
 //!
 //! * **Per-actor serialization.** An actor maps to exactly one shard
 //!   (`actor % shards`), and each shard is owned by exactly one worker,
-//!   so an actor's work is never driven concurrently — the same
-//!   guarantee the one-daemon-per-node design gave protocol handlers.
+//!   so an actor's work is never driven concurrently — protocol
+//!   handlers see one node's messages one at a time, as a per-node
+//!   daemon would serve them.
 //! * **Wake elision.** Scheduling an actor onto a shard whose worker is
 //!   already running (not parked) skips the condvar notify entirely;
 //!   under load the worker stays hot and drains without ever sleeping.

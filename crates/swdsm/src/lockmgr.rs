@@ -29,6 +29,14 @@
 use memwire::Interval;
 use std::collections::{HashMap, VecDeque};
 
+/// Correlation id of a lock handoff: packs `(grantee, lock)` as
+/// `(grantee + 1) << 32 | (lock + 1)`. Both DSMs stamp it on their
+/// `lock_grant` and `lock_release` trace instants, and the analyzer
+/// recovers the grantee of a handoff chain with `corr >> 32`.
+pub fn grant_corr(grantee: usize, lock: u32) -> u64 {
+    ((grantee as u64 + 1) << 32) | (lock as u64 + 1)
+}
+
 /// Lock acquisition mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
@@ -551,6 +559,12 @@ impl LockMgr {
         }
         tok.queue.push((who, seq, arrive_ns));
         RTokStep::Queued
+    }
+
+    /// Manager: the current holder of `lock`'s resilient token and its
+    /// tenure sequence number.
+    pub fn rtok_holder(&self, lock: u32) -> Option<(usize, u64)> {
+        self.rtokens.get(&lock).and_then(|tok| tok.holder)
     }
 
     /// Manager: node `who` ends tenure `seq`, publishing `interval`.

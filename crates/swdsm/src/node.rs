@@ -5,7 +5,7 @@ use crate::barriermgr::{BarrierMgr, BarrierStep, TreeBarrier, TreeStep};
 
 use crate::home::HomeStore;
 use crate::kinds;
-use crate::lockmgr::{Acquire, LockMgr, RTokStep, TokHolderStep, TokMgrStep};
+use crate::lockmgr::{grant_corr, Acquire, LockMgr, RTokStep, TokHolderStep, TokMgrStep};
 use crate::proto::*;
 use cluster::{BarrierTopology, Cluster, LockTopology, NodeCtx, NoticeWire, SyncTopology};
 use interconnect::{downcast, try_downcast, Outcome, Page, RequestError};
@@ -164,6 +164,15 @@ pub struct SwDsm {
     dir: RegionDir,
     homes: Vec<Mutex<HomeStore>>,
     lockmgrs: Vec<Arc<Mutex<LockMgr>>>,
+    /// Per manager node, the virtual arrival of the last token return
+    /// per lock. A parked token may not leave before it arrived, even
+    /// when the acquire or claim that releases it was sent at an
+    /// earlier virtual time and only processed later in real time.
+    tok_returned_ns: Vec<Mutex<HashMap<u32, u64>>>,
+    /// Per manager node, the tenure each queued requester asked under,
+    /// echoed in its posted grant: a requester re-granted by reply (its
+    /// `Queued` reply was lost) must not later enter on that stale post.
+    queued_seqs: Vec<Mutex<HashMap<(u32, usize), u64>>>,
     barriermgrs: Vec<Mutex<BarrierMgr>>,
     treebarriers: Vec<Mutex<TreeBarrier>>,
     stats: Vec<StatSet>,
@@ -277,6 +286,8 @@ impl SwDsm {
             dir: RegionDir::new(),
             homes: (0..nodes).map(|_| Mutex::new(HomeStore::new())).collect(),
             lockmgrs: (0..nodes).map(|_| Arc::new(Mutex::new(LockMgr::new()))).collect(),
+            tok_returned_ns: (0..nodes).map(|_| Mutex::new(HashMap::new())).collect(),
+            queued_seqs: (0..nodes).map(|_| Mutex::new(HashMap::new())).collect(),
             barriermgrs: (0..nodes).map(|_| Mutex::new(BarrierMgr::new())).collect(),
             treebarriers: (0..nodes)
                 .map(|me| Mutex::new(TreeBarrier::new(me, nodes, fanout, digest_runs)))
@@ -366,9 +377,10 @@ impl SwDsm {
     }
 
     /// Emit the token-pass for `lock` from `from` to `to` (direct
-    /// holder→successor forward, or a manager grant). The grant instant
-    /// uses the same `(grantee, lock)` correlation id as the central
-    /// manager's, so the analyzer chains token handoffs identically.
+    /// holder→successor forward, or a manager grant), departing at
+    /// `depart`. The grant instant uses the same `(grantee, lock)`
+    /// correlation id as the central manager's, so the analyzer chains
+    /// token handoffs identically.
     fn send_token_pass(
         &self,
         ctx: &interconnect::HandlerCtx<'_>,
@@ -376,20 +388,29 @@ impl SwDsm {
         lock: u32,
         to: usize,
         notices: Vec<(usize, Interval)>,
+        depart: u64,
     ) {
-        let corr = ((to as u64 + 1) << 32) | (lock as u64 + 1);
-        sim::trace::instant_corr(ctx.now, from, "swdsm", "lock_grant", lock as u64, corr);
+        let corr = grant_corr(to, lock);
+        sim::trace::instant_corr(depart, from, "swdsm", "lock_grant", lock as u64, corr);
         let records = notices.iter().map(|(_, iv)| iv.notices.len() as u64).sum();
         let msg = TokPass { lock, notices };
         let bytes = msg.wire_bytes();
         self.count_sync(from, to, records);
-        ctx.post_tagged(
+        ctx.post_tagged_at(
             to,
             kinds::TOK_PASS,
             msg,
             bytes,
             interconnect::mailbox::tag(kinds::LOCK_GRANT, lock),
+            depart,
         );
+    }
+
+    /// Departure time of a manager-side token pass for `lock` at manager
+    /// `node`: now, but never before the token's last return arrived.
+    fn tok_pass_depart(&self, ctx: &interconnect::HandlerCtx<'_>, node: usize, lock: u32) -> u64 {
+        let returned = self.tok_returned_ns[node].lock().get(&lock).copied().unwrap_or(0);
+        ctx.now.max(returned)
     }
 
     /// Lock-acquire latency histogram (shared storage: the returned
@@ -616,6 +637,7 @@ impl SwDsm {
         // Lock acquire at the manager.
         let dsm = self.clone();
         net.register_all(kinds::LOCK_REQ, move |node| {
+            let dsm = dsm.clone();
             let mgr = dsm.lockmgrs[node].clone();
             move |ctx: &interconnect::HandlerCtx<'_>, src, p| {
                 let req = downcast::<LockReq>(p);
@@ -626,7 +648,7 @@ impl SwDsm {
                         // (the current holder's release time). corr packs
                         // (grantee, lock) so the analyzer can chain
                         // grants into per-lock handoff sequences.
-                        let corr = ((src as u64 + 1) << 32) | (req.lock as u64 + 1);
+                        let corr = grant_corr(src, req.lock);
                         sim::trace::instant_corr(
                             ctx.now.max(not_before),
                             node,
@@ -642,7 +664,10 @@ impl SwDsm {
                             not_before,
                         )
                     }
-                    Acquire::Queued => Outcome::reply(LockReply::Queued, 8),
+                    Acquire::Queued => {
+                        dsm.queued_seqs[node].lock().insert((req.lock, src), req.seq);
+                        Outcome::reply(LockReply::Queued, 8)
+                    }
                 }
             }
         });
@@ -650,13 +675,18 @@ impl SwDsm {
         // Lock release at the manager: may hand over to a queued waiter.
         let dsm = self.clone();
         net.register_all(kinds::LOCK_REL, move |node| {
+            let dsm = dsm.clone();
             let mgr = dsm.lockmgrs[node].clone();
             move |ctx: &interconnect::HandlerCtx<'_>, _src, p| {
                 let rel = downcast::<LockRel>(p);
                 for (next, notices) in
                     mgr.lock().release(rel.lock, rel.releaser, rel.interval.clone(), ctx.now)
                 {
-                    let corr = ((next as u64 + 1) << 32) | (rel.lock as u64 + 1);
+                    let seq = dsm.queued_seqs[node]
+                        .lock()
+                        .remove(&(rel.lock, next))
+                        .expect("a granted waiter was queued with its tenure");
+                    let corr = grant_corr(next, rel.lock);
                     sim::trace::instant_corr(ctx.now, node, "swdsm", "lock_grant", rel.lock as u64, corr);
                     let bytes = notices_wire_bytes(&notices);
                     // Tagged so a lost grant leaves a loss tombstone
@@ -665,7 +695,7 @@ impl SwDsm {
                     ctx.post_tagged(
                         next,
                         kinds::LOCK_GRANT,
-                        LockGrant { lock: rel.lock, notices },
+                        LockGrant { lock: rel.lock, seq, notices },
                         bytes,
                         interconnect::mailbox::tag(kinds::LOCK_GRANT, rel.lock),
                     );
@@ -998,7 +1028,8 @@ impl SwDsm {
                 let req = downcast::<TokAcquire>(p);
                 match dsm.lockmgrs[node].lock().tok_acquire(req.lock, req.who, req.seq) {
                     TokMgrStep::Pass { to, notices } => {
-                        dsm.send_token_pass(ctx, node, req.lock, to, notices);
+                        let depart = dsm.tok_pass_depart(ctx, node, req.lock);
+                        dsm.send_token_pass(ctx, node, req.lock, to, notices, depart);
                     }
                     TokMgrStep::SetSucc { prev, for_seq, succ } => {
                         dsm.stats[succ].add("lock_queued", 1);
@@ -1025,7 +1056,7 @@ impl SwDsm {
                 let msg = downcast::<TokPass>(p);
                 let notices = dsm.lockmgrs[node].lock().tok_pass_received(msg.lock, msg.notices);
                 let tag = interconnect::mailbox::tag(kinds::LOCK_GRANT, msg.lock);
-                mailbox.deposit(tag, Box::new(LockGrant { lock: msg.lock, notices }), ctx.now);
+                mailbox.deposit(tag, Box::new(LockGrant { lock: msg.lock, seq: 0, notices }), ctx.now);
                 Outcome::done()
             }
         });
@@ -1063,7 +1094,7 @@ impl SwDsm {
                 match dsm.lockmgrs[node].lock().tok_release(msg.lock, node, msg.interval.clone()) {
                     TokHolderStep::Forward { to, notices } => {
                         dsm.stats[node].add("token_forwards", 1);
-                        dsm.send_token_pass(ctx, node, msg.lock, to, notices);
+                        dsm.send_token_pass(ctx, node, msg.lock, to, notices, ctx.now);
                     }
                     TokHolderStep::Return { seq, notices } => {
                         let mgr = dsm.lock_mgr_of(msg.lock);
@@ -1085,12 +1116,13 @@ impl SwDsm {
             let dsm = dsm.clone();
             move |ctx: &interconnect::HandlerCtx<'_>, _src, p| {
                 let msg = downcast::<TokReturn>(p);
+                dsm.tok_returned_ns[node].lock().insert(msg.lock, ctx.now);
                 if let Some(step) =
                     dsm.lockmgrs[node].lock().tok_return(msg.lock, msg.who, msg.seq, msg.notices)
                 {
                     match step {
                         TokMgrStep::Pass { to, notices } => {
-                            dsm.send_token_pass(ctx, node, msg.lock, to, notices);
+                            dsm.send_token_pass(ctx, node, msg.lock, to, notices, ctx.now);
                         }
                         other => unreachable!("return produced {other:?}"),
                     }
@@ -1108,7 +1140,8 @@ impl SwDsm {
                 if let Some(step) = dsm.lockmgrs[node].lock().tok_claim(msg.lock, msg.succ) {
                     match step {
                         TokMgrStep::Pass { to, notices } => {
-                            dsm.send_token_pass(ctx, node, msg.lock, to, notices);
+                            let depart = dsm.tok_pass_depart(ctx, node, msg.lock);
+                            dsm.send_token_pass(ctx, node, msg.lock, to, notices, depart);
                         }
                         other => unreachable!("claim produced {other:?}"),
                     }
@@ -1144,7 +1177,7 @@ impl SwDsm {
                     dsm.lockmgrs[node].lock().rtok_acquire(req.lock, req.who, req.seq, ctx.now);
                 match step {
                     RTokStep::Grant(notices) => {
-                        let corr = ((req.who as u64 + 1) << 32) | (req.lock as u64 + 1);
+                        let corr = grant_corr(req.who, req.lock);
                         sim::trace::instant_corr(
                             ctx.now,
                             node,
@@ -1176,13 +1209,13 @@ impl SwDsm {
             let dsm = dsm.clone();
             move |ctx: &interconnect::HandlerCtx<'_>, _src, p| {
                 let rel = downcast::<RTokRelease>(p);
-                if let Some((next, notices)) = dsm.lockmgrs[node].lock().rtok_release(
-                    rel.lock,
-                    rel.who,
-                    rel.seq,
-                    rel.interval.clone(),
-                ) {
-                    let corr = ((next as u64 + 1) << 32) | (rel.lock as u64 + 1);
+                let mut mgr = dsm.lockmgrs[node].lock();
+                let handover = mgr
+                    .rtok_release(rel.lock, rel.who, rel.seq, rel.interval.clone())
+                    .map(|(next, notices)| (next, mgr.rtok_holder(rel.lock), notices));
+                drop(mgr);
+                if let Some((next, Some((_, seq)), notices)) = handover {
+                    let corr = grant_corr(next, rel.lock);
                     sim::trace::instant_corr(
                         ctx.now,
                         node,
@@ -1195,7 +1228,7 @@ impl SwDsm {
                     ctx.post_tagged(
                         next,
                         kinds::LOCK_GRANT,
-                        LockGrant { lock: rel.lock, notices },
+                        LockGrant { lock: rel.lock, seq, notices },
                         bytes,
                         interconnect::mailbox::tag(kinds::LOCK_GRANT, rel.lock),
                     );
@@ -1290,6 +1323,7 @@ impl SwDsm {
             epoch_mods: Mutex::new(Interval::default()),
             next_region: Mutex::new(NextRegions { collective: 1, local: 0 }),
             epochs: Mutex::new(HashMap::new()),
+            lock_seqs: Mutex::new(HashMap::new()),
             last_transfer_ns: AtomicU64::new(0),
             last_transfer_snapshot: AtomicBool::new(false),
         }
@@ -1329,6 +1363,9 @@ pub struct DsmNode {
     next_region: Mutex<NextRegions>,
     /// Barrier id → next epoch.
     epochs: Mutex<HashMap<u32, u64>>,
+    /// Lock id → this node's manager-lock acquire count (its current
+    /// tenure, see [`LockReq::seq`]).
+    lock_seqs: Mutex<HashMap<u32, u64>>,
     /// Virtual duration of the last release application (delta replay
     /// or snapshot sync) — the membership bench's per-node probe.
     last_transfer_ns: AtomicU64,
@@ -2087,7 +2124,8 @@ impl DsmNode {
         } else if self.resilient() {
             self.acquire_notices_resilient(lock, mode, mgr)?
         } else {
-            let reply = self.ctx.port().request(mgr, kinds::LOCK_REQ, LockReq { lock, mode }, 16);
+            let req = LockReq { lock, mode, seq: self.next_lock_seq(lock) };
+            let reply = self.ctx.port().request(mgr, kinds::LOCK_REQ, req, 16);
             match downcast::<LockReply>(reply) {
                 LockReply::Granted(notices) => notices,
                 LockReply::Queued => {
@@ -2109,6 +2147,14 @@ impl DsmNode {
         Ok(())
     }
 
+    /// Start this node's next manager-lock tenure of `lock`.
+    fn next_lock_seq(&self, lock: u32) -> u64 {
+        let mut seqs = self.lock_seqs.lock();
+        let seq = seqs.entry(lock).or_insert(0);
+        *seq += 1;
+        *seq
+    }
+
     /// The resilient acquire protocol: request with retries; if queued,
     /// wait for the deferred grant. A loss tombstone under the grant tag
     /// means the grant was destroyed in flight — re-request, which the
@@ -2120,6 +2166,7 @@ impl DsmNode {
         mgr: usize,
     ) -> Result<Vec<(usize, Interval)>, DsmError> {
         let wrap = |err| DsmError { op: "lock_acquire", id: lock, err };
+        let req = LockReq { lock, mode, seq: self.next_lock_seq(lock) };
         let mut rounds = 0u32;
         'req: loop {
             rounds += 1;
@@ -2134,7 +2181,7 @@ impl DsmNode {
             let reply = self
                 .ctx
                 .port()
-                .request_retrying(mgr, kinds::LOCK_REQ, LockReq { lock, mode }, 16)
+                .request_retrying(mgr, kinds::LOCK_REQ, req, 16)
                 .map_err(wrap)?;
             match downcast::<LockReply>(reply) {
                 LockReply::Granted(notices) => return Ok(notices),
@@ -2147,7 +2194,15 @@ impl DsmNode {
                         Ok(p) => {
                             let grant = downcast::<LockGrant>(p);
                             assert_eq!(grant.lock, lock);
-                            return Ok(grant.notices);
+                            if grant.seq == req.seq {
+                                return Ok(grant.notices);
+                            }
+                            // A grant for an earlier tenure, entered
+                            // through a re-granted reply while this post
+                            // was in flight: re-request, since its real
+                            // deposit may have purged this tenure's
+                            // loss tombstone.
+                            continue 'req;
                         }
                         Err(e) if e.is_transient() => continue 'req,
                         Err(e) => return Err(wrap(e)),
@@ -2202,7 +2257,16 @@ impl DsmNode {
                         Ok(p) => {
                             let grant = downcast::<LockGrant>(p);
                             assert_eq!(grant.lock, lock);
-                            return Ok(grant.notices);
+                            if grant.seq == seq {
+                                return Ok(grant.notices);
+                            }
+                            // A grant for an earlier tenure, replayed by
+                            // reply while this post was in flight.
+                            // Entering on it would break mutual
+                            // exclusion and leave this tenure's grant
+                            // unreleased; re-request instead (see
+                            // `acquire_notices_resilient`).
+                            continue 'req;
                         }
                         Err(e) if e.is_transient() => continue 'req,
                         Err(e) => return Err(wrap(e)),
@@ -2245,7 +2309,7 @@ impl DsmNode {
                 let bytes = 16 + msg.interval.wire_bytes();
                 self.ctx.port().post(self.rank, kinds::TOK_REL, msg, bytes);
             }
-            let corr = ((self.rank as u64 + 1) << 32) | (lock as u64 + 1);
+            let corr = grant_corr(self.rank, lock);
             sim::trace::instant_corr(self.ctx.clock().now(), self.rank, "swdsm", "lock_release", lock as u64, corr);
             return Ok(());
         }
@@ -2262,7 +2326,7 @@ impl DsmNode {
         }
         // corr packs (releaser, lock) — the same encoding the manager's
         // grant instants use, so release → next grant chains join up.
-        let corr = ((self.rank as u64 + 1) << 32) | (lock as u64 + 1);
+        let corr = grant_corr(self.rank, lock);
         sim::trace::instant_corr(self.ctx.clock().now(), self.rank, "swdsm", "lock_release", lock as u64, corr);
         Ok(())
     }

@@ -82,6 +82,9 @@ pub struct LockReq {
     pub lock: u32,
     /// Shared (reader) or exclusive acquisition.
     pub mode: crate::lockmgr::Mode,
+    /// The requester's tenure of `lock` (its acquire count), echoed in
+    /// a posted [`LockGrant`].
+    pub seq: u64,
 }
 
 /// Reply to [`LockReq`].
@@ -96,6 +99,11 @@ pub enum LockReply {
 pub struct LockGrant {
     /// The granted lock.
     pub lock: u32,
+    /// The requester's tenure the grant opens, so a waiter can discard
+    /// a grant for a tenure it already entered through a re-granted or
+    /// replayed reply (0 on the fault-free token queue, which never
+    /// retries).
+    pub seq: u64,
     /// Write notices accumulated under the lock, per writer.
     pub notices: Vec<(usize, Interval)>,
 }

@@ -6,9 +6,9 @@
 //!   the exact fault-free checksum, and the same seed reproduces the
 //!   identical fault schedule, counters, and virtual times.
 //! * Property: under *any* seeded leave/recover churn schedule — at 4
-//!   and at 64 nodes, under both delivery engines — every node computes
-//!   the exact stable-membership result and the same seed reproduces
-//!   the identical counters and virtual times.
+//!   and at 64 nodes, with one engine worker and with one per node —
+//!   every node computes the exact stable-membership result and the
+//!   same seed reproduces the identical counters and virtual times.
 //! * Integration: a node crashes while it manages a barrier mid-run;
 //!   survivors see `NodeDown`, back off, and the retried arrival
 //!   completes the barrier after the heal — with memory semantics
@@ -149,7 +149,7 @@ proptest! {
     ) {
         for &nodes in &[4usize, 64] {
             let expect = nodes as u64 * (nodes as u64 + 1) / 2;
-            for engine in [EngineMode::default(), EngineMode::ThreadPerNode] {
+            for engine in [EngineMode::Sharded { workers: 1 }, EngineMode::Sharded { workers: nodes }] {
                 let plan = || MembershipPlan::churn(seed, nodes, 3_000_000, 12_000_000, cycles);
                 let (r1, s1) = slot_run(nodes, engine, Some(plan()));
                 let (r2, s2) = slot_run(nodes, engine, Some(plan()));

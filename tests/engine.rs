@@ -1,16 +1,17 @@
-//! Workspace-level engine equivalence: the sharded event-driven engine
-//! must be *indistinguishable in virtual time* from the legacy
-//! thread-per-node engine (see `DESIGN.md`, "Delivery engines").
+//! Workspace-level engine equivalence: the delivery engine must be
+//! *indistinguishable in virtual time* whether one worker serialises the
+//! whole fabric or every node has a worker of its own (see `DESIGN.md`,
+//! "Delivery engine").
 //!
 //! A proptest drives random SOR / LU / lock-ring schedules through both
-//! engines at 4 and 64 nodes and asserts, per schedule:
+//! worker counts at 4 and 64 nodes and asserts, per schedule:
 //!
 //! * bit-identical workload checksums,
 //! * identical virtual history (`sim_time_ns` + every net counter),
 //! * identical analyzer output for the traced run — same per-node
 //!   makespans and same per-node lane totals, lane by lane.
 //!
-//! The engines differ only in *real-time* mechanics (who executes a
+//! The two shapes differ only in *real-time* mechanics (who executes a
 //! handler, when, on which OS thread); everything observable in virtual
 //! time — including the causal trace the analyzer consumes — must not
 //! move by a single nanosecond.
@@ -110,8 +111,7 @@ fn observe(engine: EngineMode, nodes: usize, schedule: Schedule) -> Observed {
     //   bus-independent, so it is pure schedule spacing).
     let mut cost = sim::cost::CostModel::default();
     cost.ethernet.bytes_per_sec = 1_000_000_000;
-        cost.ethernet.latency_ns = 400_000;
-        cost.ethernet.latency_ns = 400_000;
+    cost.ethernet.latency_ns = 400_000;
     cost.ethernet.recv_overhead_ns = 500;
     cost.ethernet.send_overhead_ns = 500;
     cost.ethernet.handler_ns = 200;
@@ -149,33 +149,34 @@ fn observe(engine: EngineMode, nodes: usize, schedule: Schedule) -> Observed {
     }
 }
 
-/// Assert two engines produced literally the same virtual history.
+/// Assert a fully serialised engine (one worker) and one worker per
+/// node produced literally the same virtual history.
 fn assert_equivalent(schedule: Schedule, nodes: usize) {
-    let legacy = observe(EngineMode::ThreadPerNode, nodes, schedule);
-    let sharded = observe(EngineMode::Sharded { workers: 0 }, nodes, schedule);
+    let serial = observe(EngineMode::Sharded { workers: 1 }, nodes, schedule);
+    let sharded = observe(EngineMode::Sharded { workers: nodes }, nodes, schedule);
     prop_assert_eq!(
-        legacy.checksum,
+        serial.checksum,
         sharded.checksum,
         "checksum diverged at {} nodes for {:?}",
         nodes,
         schedule
     );
     prop_assert_eq!(
-        legacy.sim_time_ns,
+        serial.sim_time_ns,
         sharded.sim_time_ns,
         "virtual makespan diverged at {} nodes for {:?}",
         nodes,
         schedule
     );
     prop_assert_eq!(
-        &legacy.net_stats,
+        &serial.net_stats,
         &sharded.net_stats,
         "net counters diverged at {} nodes for {:?}",
         nodes,
         schedule
     );
     prop_assert_eq!(
-        &legacy.node_lanes,
+        &serial.node_lanes,
         &sharded.node_lanes,
         "analyzer lane totals diverged at {} nodes for {:?}",
         nodes,
@@ -186,9 +187,8 @@ fn assert_equivalent(schedule: Schedule, nodes: usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// The tentpole invariant (ISSUE 6, satellite 4): random schedules
-    /// through both engines at 4 and 64 nodes are bit-identical in
-    /// every virtual-time observable.
+    /// Random schedules through both worker counts at 4 and 64 nodes
+    /// are bit-identical in every virtual-time observable.
     #[test]
     fn engines_agree_on_random_schedules(schedule in schedules()) {
         assert_equivalent(schedule, 4);

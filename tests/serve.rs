@@ -4,8 +4,8 @@
 //!
 //! * Property: for *any* workload seed and shape, the same seed yields
 //!   byte-identical checksums, per-(tenant, op) quantiles, and metrics
-//!   timeseries — at 4 and at 64 nodes, under both delivery engines,
-//!   with the cost model in the deterministic (below bus-window
+//!   timeseries — at 4 and at 64 nodes, with one engine worker and
+//!   with one worker per node, with the cost model in the deterministic (below bus-window
 //!   saturation) regime.
 //! * Integration: under the chaos bench's fault plan, every platform
 //!   still produces the fault-free checksum, and for every tenant the
@@ -99,9 +99,9 @@ fn kv_config(seed: u64, rounds: usize, batch: usize) -> KvConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
 
-    /// The tentpole determinism property (ISSUE 10): same seed ⇒
-    /// byte-identical checksums, quantiles, and timeseries, at 4 and
-    /// 64 nodes, under both delivery engines.
+    /// Same seed ⇒ byte-identical checksums, quantiles, and
+    /// timeseries, at 4 and 64 nodes, whether one engine worker
+    /// serialises the fabric or every node has its own.
     #[test]
     fn telemetry_is_deterministic_across_engines_and_scale(
         seed in 0u64..=u32::MAX as u64,
@@ -110,22 +110,21 @@ proptest! {
     ) {
         let kv = kv_config(seed, rounds, batch);
         for (nodes, cost) in [(4usize, pinned_cost()), (64, wide_cost())] {
-            let legacy =
-                observe(nodes, PlatformKind::SwDsm, EngineMode::ThreadPerNode, cost, &kv, None);
+            let serial_engine = EngineMode::Sharded { workers: 1 };
+            let serial = observe(nodes, PlatformKind::SwDsm, serial_engine, cost, &kv, None);
             let sharded = observe(
                 nodes,
                 PlatformKind::SwDsm,
-                EngineMode::Sharded { workers: 0 },
+                EngineMode::Sharded { workers: nodes },
                 cost,
                 &kv,
                 None,
             );
-            let again =
-                observe(nodes, PlatformKind::SwDsm, EngineMode::ThreadPerNode, cost, &kv, None);
-            prop_assert_eq!(&legacy, &sharded, "engines diverged at {} nodes", nodes);
-            prop_assert_eq!(&legacy, &again, "same seed did not reproduce at {} nodes", nodes);
-            prop_assert!(legacy.quantiles.iter().any(|q| q.count > 0));
-            prop_assert!(!legacy.rows.is_empty());
+            let again = observe(nodes, PlatformKind::SwDsm, serial_engine, cost, &kv, None);
+            prop_assert_eq!(&serial, &sharded, "engines diverged at {} nodes", nodes);
+            prop_assert_eq!(&serial, &again, "same seed did not reproduce at {} nodes", nodes);
+            prop_assert!(serial.quantiles.iter().any(|q| q.count > 0));
+            prop_assert!(!serial.rows.is_empty());
         }
     }
 }

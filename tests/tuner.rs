@@ -6,13 +6,13 @@
 //! placements, layout padding, and sync-topology switches — applies
 //! them the same way the `tune` bench does (placement and topology as
 //! `ClusterConfig`, padding as the kernel's `AlignHint`), and asserts
-//! at 4 and 64 nodes under both delivery engines:
+//! at 4 and 64 nodes, with one engine worker and with one per node:
 //!
 //! * the tuned run's workload checksum is bit-identical to the
 //!   untuned baseline's,
 //! * the tuned configuration is itself deterministic: two runs agree
 //!   on virtual makespan and every net counter,
-//! * both engines agree on the checksum under the same plan.
+//! * both worker counts agree on the checksum under the same plan.
 
 use apps::world::{run_hamster, HamsterWorld, World};
 use cluster::{BarrierTopology, EngineMode, LockTopology, SyncTopology};
@@ -150,7 +150,7 @@ fn observe(
 
 fn assert_plan_preserves(plan: &TuningPlan, nodes: usize) {
     let (hint, placement, sync) = carriers(plan);
-    for engine in [EngineMode::ThreadPerNode, EngineMode::Sharded { workers: 0 }] {
+    for engine in [EngineMode::Sharded { workers: 1 }, EngineMode::Sharded { workers: nodes }] {
         let baseline =
             observe(nodes, engine, AlignHint::None, &Placement::default(), SyncTopology::centralized());
         let tuned = observe(nodes, engine, hint, &placement, sync);
