@@ -20,6 +20,22 @@ fn bench_diff(c: &mut Criterion) {
         let mut page = twin.clone();
         b.iter(|| d.apply(black_box(&mut page)))
     });
+
+    // One relaxation step over a page of f64s (the SOR shape): every
+    // value moves a little, so its low mantissa bytes change and its
+    // exponent bytes stay, leaving hundreds of short runs per page.
+    let values: Vec<f64> = (0..PAGE_SIZE / 8).map(|i| 1.0 + i as f64 / 3.0).collect();
+    let twin: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+    let cur: Vec<u8> =
+        values.iter().flat_map(|v| (0.75 * v + 0.25 * (v + 1e-3)).to_le_bytes()).collect();
+    c.bench_function("diff_create_dense_f64_page", |b| {
+        b.iter(|| Diff::between(black_box(&twin), black_box(&cur)))
+    });
+    let d = Diff::between(&twin, &cur);
+    c.bench_function("diff_apply_dense_f64_page", |b| {
+        let mut page = twin.clone();
+        b.iter(|| d.apply(black_box(&mut page)))
+    });
 }
 
 fn bench_clock_and_server(c: &mut Criterion) {

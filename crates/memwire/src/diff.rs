@@ -7,17 +7,24 @@
 //! page's home and applied there. Diffs from different writers to
 //! disjoint parts of a page merge cleanly (the usual false-sharing
 //! remedy of multiple-writer protocols).
+//!
+//! # Encoding
+//!
+//! A [`Diff`] is flat: one table of `(offset, len)` runs plus one buffer
+//! holding every run's new bytes back to back, so encoding a page costs
+//! two growable buffers however many runs it has. Runs are byte-exact
+//! and maximal (each is a stretch of changed bytes bounded by unchanged
+//! bytes or the page edges), which is what a byte-by-byte comparison
+//! yields. [`Diff::between`] finds them a `u64` word at a time: equal
+//! words are skipped with one compare, and inside a changed word the run
+//! boundaries come from a per-byte change mask. The modelled wire size,
+//! [`Diff::wire_bytes`], depends only on the run list, so it is the same
+//! as for any other encoding of the same runs.
 
 use crate::addr::PAGE_SIZE;
 
-/// One run of modified bytes within a page.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DiffRun {
-    /// Byte offset of the run within the page.
-    pub offset: u16,
-    /// The new bytes.
-    pub bytes: Vec<u8>,
-}
+/// One bit (the low bit of each byte lane) per byte of a `u64`.
+const LANES: u64 = 0x0101_0101_0101_0101;
 
 /// The encoded difference between a twin and the current page contents.
 ///
@@ -35,8 +42,10 @@ pub struct DiffRun {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Diff {
-    /// The changed byte runs, in ascending offset order.
-    pub runs: Vec<DiffRun>,
+    /// `(offset, len)` of each changed run, in ascending offset order.
+    runs: Vec<(u16, u16)>,
+    /// The new bytes of every run, concatenated in run order.
+    bytes: Vec<u8>,
 }
 
 impl Diff {
@@ -45,28 +54,67 @@ impl Diff {
     pub fn between(twin: &[u8], current: &[u8]) -> Self {
         assert_eq!(twin.len(), PAGE_SIZE, "twin must be one page");
         assert_eq!(current.len(), PAGE_SIZE, "page must be one page");
-        let mut runs = Vec::new();
-        let mut i = 0;
-        while i < PAGE_SIZE {
-            if twin[i] != current[i] {
-                let start = i;
-                while i < PAGE_SIZE && twin[i] != current[i] {
-                    i += 1;
+        let mut diff = Self::default();
+        // Start offset of the run still open at the current word, if any.
+        let mut open: Option<usize> = None;
+        let words = twin.chunks_exact(8).zip(current.chunks_exact(8));
+        for (w, (t, c)) in words.enumerate() {
+            let x = word(t) ^ word(c);
+            let base = 8 * w;
+            if x == 0 {
+                if let Some(start) = open.take() {
+                    diff.push_run(start, base, current);
                 }
-                runs.push(DiffRun { offset: start as u16, bytes: current[start..i].to_vec() });
-            } else {
-                i += 1;
+                continue;
+            }
+            let changed = changed_lanes(x);
+            let unchanged = !changed & LANES;
+            let mut lane = 0;
+            while lane < 8 {
+                match open {
+                    Some(start) => {
+                        lane += next_lane(unchanged, lane);
+                        if lane < 8 {
+                            diff.push_run(start, base + lane, current);
+                            open = None;
+                        }
+                    }
+                    None => {
+                        lane += next_lane(changed, lane);
+                        if lane < 8 {
+                            open = Some(base + lane);
+                        }
+                    }
+                }
             }
         }
-        Self { runs }
+        if let Some(start) = open {
+            diff.push_run(start, PAGE_SIZE, current);
+        }
+        diff
+    }
+
+    fn push_run(&mut self, start: usize, end: usize, current: &[u8]) {
+        self.runs.push((start as u16, (end - start) as u16));
+        self.bytes.extend_from_slice(&current[start..end]);
+    }
+
+    /// The changed runs as `(offset, new bytes)`, in ascending offset
+    /// order.
+    pub fn runs(&self) -> impl Iterator<Item = (usize, &[u8])> + '_ {
+        let mut at = 0;
+        self.runs.iter().map(move |&(offset, len)| {
+            let bytes = &self.bytes[at..at + len as usize];
+            at += len as usize;
+            (offset as usize, bytes)
+        })
     }
 
     /// Apply this diff to `page` (the home copy).
     pub fn apply(&self, page: &mut [u8]) {
         assert_eq!(page.len(), PAGE_SIZE, "target must be one page");
-        for run in &self.runs {
-            let start = run.offset as usize;
-            page[start..start + run.bytes.len()].copy_from_slice(&run.bytes);
+        for (offset, bytes) in self.runs() {
+            page[offset..offset + bytes.len()].copy_from_slice(bytes);
         }
     }
 
@@ -77,14 +125,31 @@ impl Diff {
 
     /// Total count of changed bytes.
     pub fn changed_bytes(&self) -> usize {
-        self.runs.iter().map(|r| r.bytes.len()).sum()
+        self.bytes.len()
     }
 
     /// Size of this diff on the wire: 4 bytes of header per run plus the
     /// payload bytes (matches the JiaJia encoding granularity).
     pub fn wire_bytes(&self) -> u64 {
-        self.runs.iter().map(|r| 4 + r.bytes.len() as u64).sum::<u64>() + 8
+        4 * self.runs.len() as u64 + self.bytes.len() as u64 + 8
     }
+}
+
+fn word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8-byte chunk"))
+}
+
+/// The low bit of byte lane `i` is set iff byte `i` of `x` is non-zero.
+fn changed_lanes(x: u64) -> u64 {
+    let x = x | (x >> 4);
+    let x = x | (x >> 2);
+    (x | (x >> 1)) & LANES
+}
+
+/// Lanes from `lane` up to the first lane set in `mask` (`8 - lane` if
+/// none is).
+fn next_lane(mask: u64, lane: usize) -> usize {
+    ((mask >> (8 * lane)).trailing_zeros() / 8) as usize
 }
 
 #[cfg(test)]
@@ -93,6 +158,10 @@ mod tests {
 
     fn page_of(byte: u8) -> Vec<u8> {
         vec![byte; PAGE_SIZE]
+    }
+
+    fn runs(d: &Diff) -> Vec<(usize, Vec<u8>)> {
+        d.runs().map(|(o, b)| (o, b.to_vec())).collect()
     }
 
     #[test]
@@ -109,9 +178,20 @@ mod tests {
         let mut cur = twin.clone();
         cur[100..110].fill(7);
         let d = Diff::between(&twin, &cur);
-        assert_eq!(d.runs.len(), 1);
-        assert_eq!(d.runs[0].offset, 100);
-        assert_eq!(d.runs[0].bytes, vec![7; 10]);
+        assert_eq!(runs(&d), vec![(100, vec![7; 10])]);
+    }
+
+    #[test]
+    fn runs_are_byte_exact_inside_a_word() {
+        let twin = page_of(0);
+        let mut cur = twin.clone();
+        // Lanes 1, 3-4 and 7 of word 2, then lane 0 of word 3: the last
+        // two join across the word boundary.
+        for i in [17, 19, 20, 23, 24] {
+            cur[i] = 1;
+        }
+        let d = Diff::between(&twin, &cur);
+        assert_eq!(runs(&d), vec![(17, vec![1]), (19, vec![1, 1]), (23, vec![1, 1])]);
     }
 
     #[test]
@@ -154,6 +234,13 @@ mod tests {
         cur[0..8].fill(5);
         let d = Diff::between(&twin, &cur);
         assert_eq!(d.wire_bytes(), 8 + 4 + 8);
+    }
+
+    #[test]
+    fn whole_page_is_one_run() {
+        let d = Diff::between(&page_of(0), &page_of(1));
+        assert_eq!(runs(&d), vec![(0, page_of(1))]);
+        assert_eq!(d.wire_bytes(), 8 + 4 + PAGE_SIZE as u64);
     }
 
     #[test]

@@ -8,8 +8,11 @@
 //! * [`addr`] — global addresses, regions, pages ([`GlobalAddr`],
 //!   [`PageId`], [`PAGE_SIZE`]).
 //! * [`page`] — page buffers and the per-node cached-page table.
-//! * [`diff`] — twin/diff machinery for write detection (run-length
-//!   encoded against a pristine twin, as in TreadMarks/JiaJia).
+//! * [`diff`] — twin/diff machinery for write detection (the byte-exact
+//!   changed runs against a pristine twin, as in TreadMarks/JiaJia),
+//!   found a word at a time and stored flat: one run table plus one
+//!   byte buffer per diff. The modelled wire size is that of the run
+//!   list, so the encoding changes host time only.
 //! * [`notice`] — write notices exchanged at synchronization points.
 //! * [`arena`] — bump allocation inside a region, with distribution
 //!   annotations (paper §4.2, Memory Management module).

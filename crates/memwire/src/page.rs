@@ -112,14 +112,15 @@ impl PageTable {
         v
     }
 
-    /// Downgrade a page to read-only, returning `(twin, current)` for
-    /// diffing. Panics if the page is not writable (protocol bug).
-    pub fn downgrade(&mut self, id: PageId) -> (Vec<u8>, Vec<u8>) {
+    /// Downgrade a page to read-only, returning its twin and a view of
+    /// the cached copy for diffing in place. Panics if the page is not
+    /// writable (protocol bug).
+    pub fn downgrade(&mut self, id: PageId) -> (Vec<u8>, &[u8]) {
         let p = self.pages.get_mut(&id).expect("downgrade of uncached page");
         assert_eq!(p.state, PageState::Writable, "downgrade of read-only page");
         let twin = p.twin.take().expect("writable page without twin");
         p.state = PageState::ReadOnly;
-        (twin, p.data.clone())
+        (twin, &p.data)
     }
 
     /// Number of cached pages.
@@ -188,6 +189,7 @@ mod tests {
         let (twin, cur) = t.downgrade(pid(3));
         assert_eq!(twin[10], 1);
         assert_eq!(cur[10], 2);
+        assert_eq!(crate::Diff::between(&twin, cur).changed_bytes(), 1);
         assert_eq!(t.get(pid(3)).unwrap().state, PageState::ReadOnly);
         assert!(t.writable_pages().is_empty());
     }

@@ -12,7 +12,158 @@ fn edits_strategy() -> impl Strategy<Value = Vec<(usize, u8)>> {
     proptest::collection::vec((0..PAGE_SIZE, any::<u8>()), 0..200)
 }
 
+/// The byte-by-byte encoder [`Diff`] replaced, kept only as the oracle
+/// for its run list: every maximal stretch of changed bytes, with its
+/// new contents.
+fn bytewise_runs(twin: &[u8], current: &[u8]) -> Vec<(usize, Vec<u8>)> {
+    let mut runs = Vec::new();
+    let mut i = 0;
+    while i < PAGE_SIZE {
+        if twin[i] != current[i] {
+            let start = i;
+            while i < PAGE_SIZE && twin[i] != current[i] {
+                i += 1;
+            }
+            runs.push((start, current[start..i].to_vec()));
+        } else {
+            i += 1;
+        }
+    }
+    runs
+}
+
+/// `Diff::between` yields the oracle's runs, byte counts and wire size.
+fn assert_matches_oracle(twin: &[u8], current: &[u8]) {
+    let diff = Diff::between(twin, current);
+    let expect = bytewise_runs(twin, current);
+    let got: Vec<(usize, Vec<u8>)> = diff.runs().map(|(o, b)| (o, b.to_vec())).collect();
+    assert_eq!(got, expect);
+    assert_eq!(diff.changed_bytes(), expect.iter().map(|(_, b)| b.len()).sum::<usize>());
+    let wire = expect.iter().map(|(_, b)| 4 + b.len() as u64).sum::<u64>() + 8;
+    assert_eq!(diff.wire_bytes(), wire);
+    let mut rebuilt = twin.to_vec();
+    diff.apply(&mut rebuilt);
+    assert_eq!(rebuilt, current);
+}
+
+/// Flip every byte of `page[start..end]` (XOR with a non-zero mask, so
+/// each one really changes).
+fn flip(page: &mut [u8], start: usize, end: usize, mask: u8) {
+    for b in &mut page[start..end.min(PAGE_SIZE)] {
+        *b ^= mask;
+    }
+}
+
+/// A page of f64s and the same page after one relaxation-style update
+/// (the SOR shape): most values move by a small relative step, so their
+/// low mantissa bytes change and the exponent bytes stay; `keep` leaves
+/// some values untouched.
+fn f64_pages() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
+    let n = PAGE_SIZE / 8;
+    (
+        proptest::collection::vec(-1_000_000i64..1_000_000, n..=n),
+        proptest::collection::vec((any::<bool>(), -1000i64..1000), n..=n),
+    )
+        .prop_map(|(vals, steps)| {
+            let vals: Vec<f64> = vals.iter().map(|&v| v as f64 / 1e3).collect();
+            let twin: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
+            let cur: Vec<u8> = vals
+                .iter()
+                .zip(&steps)
+                .flat_map(|(v, &(keep, step))| {
+                    let step = step as f64 * 1e-6;
+                    let v = if keep { *v } else { *v * (1.0 + step) + step };
+                    v.to_le_bytes()
+                })
+                .collect();
+            (twin, cur)
+        })
+}
+
+/// Runs placed around 8- and 64-byte boundaries: a boundary, a signed
+/// offset from it, and a length near a multiple of 8.
+fn boundary_runs() -> impl Strategy<Value = Vec<(usize, usize, u8)>> {
+    proptest::collection::vec(
+        (0..PAGE_SIZE / 8, any::<bool>(), 0usize..8, 0usize..10, 0usize..3, 1u8..=255).prop_map(
+            |(word, line, back, words, extra, mask)| {
+                let boundary = if line { word / 8 * 64 } else { word * 8 };
+                let start = boundary.saturating_sub(back);
+                let len = (8 * words + extra).max(1);
+                (start, start + len, mask)
+            },
+        ),
+        1..24,
+    )
+}
+
 proptest! {
+    #[test]
+    fn diff_matches_bytewise_oracle_on_random_edits(
+        twin in page_strategy(),
+        edits in edits_strategy(),
+    ) {
+        let mut current = twin.clone();
+        for (off, val) in &edits {
+            current[*off] = *val;
+        }
+        assert_matches_oracle(&twin, &current);
+    }
+
+    #[test]
+    fn diff_matches_bytewise_oracle_on_unrelated_pages(
+        twin in page_strategy(),
+        cur in page_strategy(),
+    ) {
+        assert_matches_oracle(&twin, &cur);
+    }
+
+    #[test]
+    fn diff_matches_bytewise_oracle_on_dense_f64_pages(pages in f64_pages()) {
+        let (twin, cur) = pages;
+        assert_matches_oracle(&twin, &cur);
+    }
+
+    #[test]
+    fn diff_matches_bytewise_oracle_across_word_and_line_boundaries(
+        twin in page_strategy(),
+        runs in boundary_runs(),
+    ) {
+        let mut current = twin.clone();
+        for (start, end, mask) in runs {
+            flip(&mut current, start, end, mask);
+        }
+        assert_matches_oracle(&twin, &current);
+    }
+
+    #[test]
+    fn diff_matches_bytewise_oracle_on_a_run_ending_at_the_last_byte(
+        twin in page_strategy(),
+        start in 0..PAGE_SIZE,
+        mask in 1u8..=255,
+    ) {
+        let mut current = twin.clone();
+        flip(&mut current, start, PAGE_SIZE, mask);
+        assert_matches_oracle(&twin, &current);
+        let diff = Diff::between(&twin, &current);
+        let (offset, bytes) = diff.runs().last().expect("one run at least");
+        prop_assert_eq!(offset + bytes.len(), PAGE_SIZE);
+    }
+
+    #[test]
+    fn diff_matches_bytewise_oracle_on_whole_and_identical_pages(
+        twin in page_strategy(),
+        mask in 1u8..=255,
+    ) {
+        let mut current = twin.clone();
+        flip(&mut current, 0, PAGE_SIZE, mask);
+        assert_matches_oracle(&twin, &current);
+        let whole = Diff::between(&twin, &current);
+        prop_assert_eq!(whole.runs().count(), 1);
+        prop_assert_eq!(whole.changed_bytes(), PAGE_SIZE);
+        assert_matches_oracle(&twin, &twin);
+        prop_assert!(Diff::between(&twin, &twin).is_empty());
+    }
+
     #[test]
     fn diff_reconstructs_any_modification(twin in page_strategy(), edits in edits_strategy()) {
         let mut current = twin.clone();

@@ -180,13 +180,19 @@ struct RTokenLock {
     queue: Vec<(usize, u64, u64)>,
     /// Highest tenure each node has completed (idempotent release).
     done: HashMap<usize, u64>,
+    /// Virtual arrival of the latest release: a free token is granted
+    /// no earlier, even to an acquire that arrived before it but was
+    /// processed after it.
+    released_ns: u64,
 }
 
 /// Manager's answer to a resilient token acquire.
 #[derive(Debug, PartialEq, Eq)]
 pub enum RTokStep {
-    /// The token was free: granted, carrying these notices.
-    Grant(Vec<(usize, Interval)>),
+    /// The token was free: granted, carrying these notices, effective
+    /// no earlier than the given virtual instant (the release that
+    /// freed the token).
+    Grant(Vec<(usize, Interval)>, u64),
     /// Held; a grant will be posted on release.
     Queued,
     /// This exact tenure was already granted (the earlier reply or
@@ -555,7 +561,7 @@ impl LockMgr {
             let notices = std::mem::take(&mut tok.notices);
             tok.granted = notices.clone();
             tok.holder = Some((who, seq));
-            return RTokStep::Grant(notices);
+            return RTokStep::Grant(notices, tok.released_ns);
         }
         tok.queue.push((who, seq, arrive_ns));
         RTokStep::Queued
@@ -567,15 +573,17 @@ impl LockMgr {
         self.rtokens.get(&lock).and_then(|tok| tok.holder)
     }
 
-    /// Manager: node `who` ends tenure `seq`, publishing `interval`.
-    /// Returns the next tenure to grant, with the notices it must
-    /// apply, or `None` (nobody queued, or duplicate release).
+    /// Manager: node `who` ends tenure `seq`, publishing `interval`;
+    /// the release arrived at virtual time `arrive_ns`. Returns the next
+    /// tenure to grant, with the notices it must apply, or `None`
+    /// (nobody queued, or duplicate release).
     pub fn rtok_release(
         &mut self,
         lock: u32,
         who: usize,
         seq: u64,
         interval: Interval,
+        arrive_ns: u64,
     ) -> Option<(usize, Vec<(usize, Interval)>)> {
         let tok = self.rtokens.get_mut(&lock)?;
         if tok.holder != Some((who, seq)) {
@@ -584,6 +592,7 @@ impl LockMgr {
             return None;
         }
         tok.holder = None;
+        tok.released_ns = tok.released_ns.max(arrive_ns);
         let d = tok.done.entry(who).or_insert(0);
         *d = (*d).max(seq);
         let mut notices = std::mem::take(&mut tok.granted);
@@ -907,32 +916,32 @@ mod token_tests {
         let mut a = LockMgr::new();
         let sa = a.rtok_begin(5);
         assert_eq!(sa, 1);
-        assert_eq!(mgr.rtok_acquire(5, 0, sa, 10), RTokStep::Grant(vec![]));
+        assert_eq!(mgr.rtok_acquire(5, 0, sa, 10), RTokStep::Grant(vec![], 0));
         // Two waiters queue; the later-ranked but earlier-arriving node
         // is granted first.
         assert_eq!(mgr.rtok_acquire(5, 2, 1, 30), RTokStep::Queued);
         assert_eq!(mgr.rtok_acquire(5, 1, 1, 20), RTokStep::Queued);
-        let (next, notices) = mgr.rtok_release(5, 0, sa, iv(&[3])).expect("handover");
+        let (next, notices) = mgr.rtok_release(5, 0, sa, iv(&[3]), 0).expect("handover");
         assert_eq!(next, 1);
         assert_eq!(notices, vec![(0, iv(&[3]))]);
-        let (next, notices) = mgr.rtok_release(5, 1, 1, iv(&[7])).expect("handover");
+        let (next, notices) = mgr.rtok_release(5, 1, 1, iv(&[7]), 0).expect("handover");
         assert_eq!(next, 2);
         assert_eq!(notices, vec![(0, iv(&[3])), (1, iv(&[7]))]);
-        assert_eq!(mgr.rtok_release(5, 2, 1, Interval::default()), None);
+        assert_eq!(mgr.rtok_release(5, 2, 1, Interval::default(), 0), None);
     }
 
     #[test]
     fn rtok_duplicate_acquire_replays_identical_grant() {
         let mut mgr = LockMgr::new();
         mgr.rtok_acquire(5, 0, 1, 0);
-        mgr.rtok_release(5, 0, 1, iv(&[2]));
+        mgr.rtok_release(5, 0, 1, iv(&[2]), 0);
         // Second tenure granted; the grant reply is lost and retried.
-        assert_eq!(mgr.rtok_acquire(5, 0, 2, 10), RTokStep::Grant(vec![(0, iv(&[2]))]));
+        assert_eq!(mgr.rtok_acquire(5, 0, 2, 10), RTokStep::Grant(vec![(0, iv(&[2]))], 0));
         assert_eq!(mgr.rtok_acquire(5, 0, 2, 15), RTokStep::Replay(vec![(0, iv(&[2]))]));
         // A queued tenure retrying stays queued exactly once.
         assert_eq!(mgr.rtok_acquire(5, 1, 1, 20), RTokStep::Queued);
         assert_eq!(mgr.rtok_acquire(5, 1, 1, 25), RTokStep::Queued);
-        let (next, _) = mgr.rtok_release(5, 0, 2, Interval::default()).unwrap();
+        let (next, _) = mgr.rtok_release(5, 0, 2, Interval::default(), 0).unwrap();
         assert_eq!(next, 1);
     }
 
@@ -940,23 +949,37 @@ mod token_tests {
     fn rtok_duplicate_release_is_a_noop() {
         let mut mgr = LockMgr::new();
         mgr.rtok_acquire(5, 0, 1, 0);
-        assert!(mgr.rtok_release(5, 0, 1, iv(&[1])).is_none());
+        assert!(mgr.rtok_release(5, 0, 1, iv(&[1]), 0).is_none());
         // The retried copy of the release finds the tenure closed.
-        assert!(mgr.rtok_release(5, 0, 1, iv(&[1])).is_none());
+        assert!(mgr.rtok_release(5, 0, 1, iv(&[1]), 0).is_none());
         // A stray acquire for the completed tenure replays empty rather
         // than re-granting.
         assert_eq!(mgr.rtok_acquire(5, 0, 1, 5), RTokStep::Replay(vec![]));
         // The notices survive for the next real tenure, unduplicated.
-        assert_eq!(mgr.rtok_acquire(5, 1, 1, 9), RTokStep::Grant(vec![(0, iv(&[1]))]));
+        assert_eq!(mgr.rtok_acquire(5, 1, 1, 9), RTokStep::Grant(vec![(0, iv(&[1]))], 0));
+    }
+
+    #[test]
+    fn rtok_free_grant_is_floored_by_the_release() {
+        let mut mgr = LockMgr::new();
+        assert_eq!(mgr.rtok_acquire(5, 0, 1, 10), RTokStep::Grant(vec![], 0));
+        // The release arrives at t=50 and is processed before an acquire
+        // that arrived at t=30: the token is free, but the grant must not
+        // take effect before the release that freed it.
+        assert_eq!(mgr.rtok_release(5, 0, 1, iv(&[2]), 50), None);
+        assert_eq!(mgr.rtok_acquire(5, 1, 1, 30), RTokStep::Grant(vec![(0, iv(&[2]))], 50));
+        // An earlier-arriving release processed late never lowers it.
+        assert_eq!(mgr.rtok_release(5, 1, 1, Interval::default(), 40), None);
+        assert_eq!(mgr.rtok_acquire(5, 2, 1, 60), RTokStep::Grant(vec![(0, iv(&[2]))], 50));
     }
 
     #[test]
     fn rtok_barrier_clears_notices() {
         let mut mgr = LockMgr::new();
         mgr.rtok_acquire(5, 0, 1, 0);
-        mgr.rtok_release(5, 0, 1, iv(&[4]));
+        mgr.rtok_release(5, 0, 1, iv(&[4]), 0);
         mgr.clear_notices();
-        assert_eq!(mgr.rtok_acquire(5, 1, 1, 9), RTokStep::Grant(vec![]));
+        assert_eq!(mgr.rtok_acquire(5, 1, 1, 9), RTokStep::Grant(vec![], 0));
     }
 
     #[test]

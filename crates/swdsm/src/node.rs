@@ -1176,7 +1176,7 @@ impl SwDsm {
                 let step =
                     dsm.lockmgrs[node].lock().rtok_acquire(req.lock, req.who, req.seq, ctx.now);
                 match step {
-                    RTokStep::Grant(notices) => {
+                    RTokStep::Grant(notices, floor) => {
                         let corr = grant_corr(req.who, req.lock);
                         sim::trace::instant_corr(
                             ctx.now,
@@ -1187,7 +1187,7 @@ impl SwDsm {
                             corr,
                         );
                         let bytes = notices_wire_bytes(&notices);
-                        Outcome::reply(RTokReply::Grant(notices), bytes)
+                        Outcome::reply_not_before(RTokReply::Grant(notices), bytes, floor)
                     }
                     RTokStep::Queued => Outcome::reply(RTokReply::Queued, 8),
                     RTokStep::Replay(notices) => {
@@ -1211,7 +1211,7 @@ impl SwDsm {
                 let rel = downcast::<RTokRelease>(p);
                 let mut mgr = dsm.lockmgrs[node].lock();
                 let handover = mgr
-                    .rtok_release(rel.lock, rel.who, rel.seq, rel.interval.clone())
+                    .rtok_release(rel.lock, rel.who, rel.seq, rel.interval.clone(), ctx.now)
                     .map(|(next, notices)| (next, mgr.rtok_holder(rel.lock), notices));
                 drop(mgr);
                 if let Some((next, Some((_, seq)), notices)) = handover {
@@ -1737,7 +1737,7 @@ impl DsmNode {
             };
             let Some((page, state)) = victim else { return };
             if state == memwire::PageState::Writable {
-                self.flush_dirty_subset(&[page]);
+                self.flush_diffs(&[page]);
             }
             if self.table.lock().invalidate(page) {
                 self.stat("evictions", 1);
@@ -1777,7 +1777,7 @@ impl DsmNode {
                     by_home
                         .entry(self.dsm.home_of(*page))
                         .or_default()
-                        .push((*page, Page::from(cur)));
+                        .push((*page, Page::from(cur.to_vec())));
                 }
             }
             self.stat("diffs", dirty.len() as u64);
@@ -1792,29 +1792,7 @@ impl DsmNode {
                 .collect();
             self.send_batch(msgs);
         } else {
-            let mut by_home: BTreeMap<usize, Vec<(PageId, Diff)>> = BTreeMap::new();
-            {
-                let mut table = self.table.lock();
-                for page in &dirty {
-                    let (twin, cur) = table.downgrade(*page);
-                    self.ctx.compute(self.dsm.cfg.diff_scan_ns);
-                    let diff = Diff::between(&twin, &cur);
-                    if !diff.is_empty() {
-                        by_home.entry(self.dsm.home_of(*page)).or_default().push((*page, diff));
-                    }
-                }
-            }
-            let msgs: Vec<_> = by_home
-                .into_iter()
-                .map(|(home, diffs)| {
-                    self.stat("diffs", diffs.len() as u64);
-                    let msg = ApplyDiffs { diffs };
-                    let bytes = msg.wire_bytes();
-                    self.stat("diff_bytes", bytes);
-                    (home, kinds::APPLY_DIFFS, msg, bytes)
-                })
-                .collect();
-            self.send_batch(msgs);
+            self.flush_diffs(&dirty);
         }
         self.trace_span(t0, "diff_flush", dirty.len() as u64);
         interval
@@ -1845,7 +1823,7 @@ impl DsmNode {
         }
         stale.sort();
         stale.dedup();
-        self.flush_dirty_subset(&stale);
+        self.flush_diffs(&stale);
         let mut table = self.table.lock();
         let mut dropped = 0u64;
         for page in stale {
@@ -1899,7 +1877,7 @@ impl DsmNode {
         let mut pages = self.table.lock().cached_pages();
         // A page whose home migrated *to* this node needs no copy.
         pages.retain(|p| !self.is_home(*p));
-        self.flush_dirty_subset(&pages);
+        self.flush_diffs(&pages);
         {
             let mut table = self.table.lock();
             let n = table.len() as u64;
@@ -2005,7 +1983,7 @@ impl DsmNode {
             return;
         }
         doomed.sort();
-        self.flush_dirty_subset(&doomed);
+        self.flush_diffs(&doomed);
         let mut table = self.table.lock();
         let mut dropped = 0u64;
         for page in doomed {
@@ -2019,9 +1997,11 @@ impl DsmNode {
         }
     }
 
-    /// Diff-and-ship any dirty pages among `pages` (pre-invalidation
-    /// rescue path; rare under proper synchronization discipline).
-    fn flush_dirty_subset(&self, pages: &[PageId]) {
+    /// Diff every dirty page among `pages` against its twin and ship the
+    /// non-empty diffs home, one batch per home in home order (the
+    /// release flush, and the rescue of dirty pages about to be
+    /// invalidated or evicted).
+    fn flush_diffs(&self, pages: &[PageId]) {
         let mut by_home: BTreeMap<usize, Vec<(PageId, Diff)>> = BTreeMap::new();
         {
             let mut table = self.table.lock();
@@ -2033,7 +2013,7 @@ impl DsmNode {
                 if dirty {
                     let (twin, cur) = table.downgrade(page);
                     self.ctx.compute(self.dsm.cfg.diff_scan_ns);
-                    let diff = Diff::between(&twin, &cur);
+                    let diff = Diff::between(&twin, cur);
                     if !diff.is_empty() {
                         by_home.entry(self.dsm.home_of(page)).or_default().push((page, diff));
                     }
